@@ -2,21 +2,27 @@
  * @file
  * Google-benchmark microbenchmarks for the hot paths of the DSE
  * stack: reference evaluation, differentiable-model evaluation,
- * objective gradients, rounding and the RTL substitute. These support
+ * objective gradients, rounding, the RTL substitute and the BB-BO
+ * Gaussian-process fit and posterior. These support
  * the paper's premise that model evaluations are cheap enough to use
  * as the inner loop of search.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "bench/common.hh"
 #include "core/adam.hh"
 #include "core/objective.hh"
+#include "gp/gaussian_process.hh"
 #include "mapping/rounding.hh"
 #include "model/analytical.hh"
 #include "model/reference.hh"
 #include "rtl/gemmini_rtl.hh"
 #include "search/cosa_mapper.hh"
+#include "search/search_common.hh"
 #include "workload/model_zoo.hh"
 
 using namespace dosa;
@@ -248,6 +254,99 @@ BM_CosaMapper(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CosaMapper);
+
+/**
+ * BB-BO-shaped GP data: `n` training rows (encodeFeatures of random
+ * valid mappings on random hardware over resnet50 layers, log
+ * layer-EDP targets) plus `queries` candidate rows, flat row-major.
+ */
+struct GpData
+{
+    std::vector<std::vector<double>> x;
+    std::vector<double> y;
+    std::vector<double> queries;
+};
+
+GpData
+gpData(size_t n, size_t queries)
+{
+    Network net = resnet50();
+    Rng rng(11);
+    GpData d;
+    for (size_t i = 0; i < n + queries; ++i) {
+        const Layer &l = net.layers[i % net.layers.size()];
+        HardwareConfig h{rng.uniformInt(4, 32), rng.uniformInt(8, 256),
+                rng.uniformInt(32, 512)};
+        Mapping m = randomValidMapping(l, h, rng, 16);
+        std::vector<double> f = encodeFeatures(l, m, h);
+        if (i < n) {
+            RefEval ev = referenceEval(l, m, h);
+            d.x.push_back(std::move(f));
+            d.y.push_back(std::log(std::max(ev.energy_uj * ev.latency,
+                    1e-30)));
+        } else {
+            d.queries.insert(d.queries.end(), f.begin(), f.end());
+        }
+    }
+    return d;
+}
+
+/** The GP hyperparameters bayesOptSearch fits with. */
+GaussianProcess
+boGp()
+{
+    return GaussianProcess({3.0, 4.0, 1e-2});
+}
+
+/** Fit at n = 300 (the codesign workload's training-set size). */
+void
+BM_GpFit(benchmark::State &state)
+{
+    GpData d = gpData(300, 0);
+    GaussianProcess gp = boGp();
+    for (auto _ : state) {
+        gp.fit(d.x, d.y);
+        benchmark::DoNotOptimize(gp.trainSize());
+    }
+}
+BENCHMARK(BM_GpFit)->Unit(benchmark::kMillisecond);
+
+/** One-row LCB at n = 300: the per-candidate call. */
+void
+BM_GpLcbOneRow(benchmark::State &state)
+{
+    GpData d = gpData(300, 1);
+    GaussianProcess gp = boGp();
+    gp.fit(d.x, d.y);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(gp.lcb(d.queries, 1.0));
+}
+BENCHMARK(BM_GpLcbOneRow)->Unit(benchmark::kMicrosecond);
+
+/**
+ * Batched LCB of `range(0)` candidates at n = 300 in one call;
+ * `per_cand` (time per candidate) is the figure to hold against
+ * BM_GpLcbOneRow.
+ */
+void
+BM_GpLcbBatch(benchmark::State &state)
+{
+    const size_t width = size_t(state.range(0));
+    GpData d = gpData(300, width);
+    GaussianProcess gp = boGp();
+    gp.fit(d.x, d.y);
+    std::vector<double> out(width);
+    for (auto _ : state) {
+        gp.lcb(d.queries, 1.0, out);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["per_cand"] = benchmark::Counter(
+            double(state.iterations()) * double(width),
+            benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_GpLcbBatch)->Arg(8)->Arg(32)->Arg(768)
+        ->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

@@ -233,7 +233,8 @@ validateSpec(const SearchSpec &spec, std::string &error)
                 "\" (available: " + Search::algorithmList() + ")";
         return false;
     }
-    if (!checkOptions(spec, *searcher, error))
+    if (!checkOptions(spec, *searcher, error) ||
+        !searcher->checkOptionValues(spec, error))
         return false;
     if (!spec.workload_name.empty()) {
         if (!spec.workload.empty()) {

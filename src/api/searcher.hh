@@ -67,6 +67,19 @@ class Searcher
     virtual std::vector<std::string_view> optionKeys() const = 0;
 
     /**
+     * Domain check of the spec's option values, run by `validateSpec`
+     * after the keys pass. Returns false with `error` naming the
+     * option and its valid range. The default accepts every value.
+     */
+    virtual bool
+    checkOptionValues(const SearchSpec &spec, std::string &error) const
+    {
+        (void)spec;
+        (void)error;
+        return true;
+    }
+
+    /**
      * Samples the spec implies (its options after budget derivation):
      * used for trace pre-reservation and budget sanity checks.
      */

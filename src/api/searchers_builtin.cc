@@ -15,6 +15,10 @@
  * fixtures pin the equivalence bitwise.
  */
 #include <algorithm>
+#include <cstdio>
+#include <limits>
+#include <span>
+#include <string>
 
 #include "api/search_api.hh"
 #include "core/dosa_optimizer.hh"
@@ -24,6 +28,30 @@
 namespace dosa {
 
 namespace {
+
+/**
+ * False with `error` set when one of `keys` is set outside
+ * [1, INT_MAX]. Checked on the raw value, before the narrowing to int;
+ * an absent key keeps its (valid) default.
+ */
+bool
+checkCounts(const SearchSpec &spec, const char *algorithm,
+            std::span<const std::string> keys, std::string &error)
+{
+    const int64_t max = std::numeric_limits<int>::max();
+    for (const std::string &key : keys) {
+        double v = spec.options.get(key, 1.0);
+        if (v >= 1.0 && v <= static_cast<double>(max))
+            continue;
+        char got[32];
+        std::snprintf(got, sizeof(got), "%.17g", v);
+        error = "option \"" + key + "\" for search algorithm \"" +
+                algorithm + "\" must be in [1, " + std::to_string(max) +
+                "] (got " + got + ")";
+        return false;
+    }
+    return true;
+}
 
 /** Adapter for the DOSA one-loop gradient-descent co-search. */
 class DosaSearcher : public Searcher
@@ -45,6 +73,15 @@ class DosaSearcher : public Searcher
                 "lr", "lr_decay", "line_search_probes", "strategy",
                 "reject_factor", "max_start_tries",
                 "project_feasible", "restart_from_best"};
+    }
+
+    /** A zero rounding period divides by zero in the descent loop. */
+    bool
+    checkOptionValues(const SearchSpec &spec,
+                      std::string &error) const override
+    {
+        static const std::string kCounts[] = {"round_every"};
+        return checkCounts(spec, name(), kCounts, error);
     }
 
     /** Spec -> native config (budget-derived steps when absent). */
@@ -239,6 +276,21 @@ class BayesOptSearcher : public Searcher
         return {"warmup_samples", "total_samples", "hw_candidates",
                 "map_candidates", "refit_every", "max_train_points",
                 "lcb_kappa"};
+    }
+
+    /**
+     * Counts and periods must be >= 1: a zero refit period divides by
+     * zero, zero candidates install an unscored design, and no warm-up
+     * never fits the GP.
+     */
+    bool
+    checkOptionValues(const SearchSpec &spec,
+                      std::string &error) const override
+    {
+        static const std::string kCounts[] = {"warmup_samples",
+                "hw_candidates", "map_candidates", "refit_every",
+                "max_train_points"};
+        return checkCounts(spec, name(), kCounts, error);
     }
 
     static BayesOptConfig

@@ -11,7 +11,9 @@
 #ifndef DOSA_GP_GAUSSIAN_PROCESS_HH
 #define DOSA_GP_GAUSSIAN_PROCESS_HH
 
+#include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "linalg/cholesky.hh"
@@ -27,10 +29,22 @@ struct GpParams
     double noise_var = 1e-4;   ///< observation noise sigma_n^2
 };
 
-/** GP regressor over fixed-dimension feature vectors. */
+/**
+ * GP regressor over fixed-dimension feature vectors.
+ *
+ * Every posterior query runs through one blocked path (Rasmussen &
+ * Williams, GPML Alg. 2.1): up to `kBlock` test points share one pass
+ * over the training set and one multi-right-hand-side forward
+ * substitution against the Cholesky factor. Each test point's sums
+ * keep the scalar order, so a value never depends on which batch or
+ * block position scored it; the one-row calls run the same path.
+ */
 class GaussianProcess
 {
   public:
+    /** Test points scored together by one posterior block. */
+    static constexpr size_t kBlock = 8;
+
     explicit GaussianProcess(GpParams params = {});
 
     /**
@@ -52,15 +66,30 @@ class GaussianProcess
      */
     double lcb(const std::vector<double> &x, double kappa) const;
 
+    /**
+     * LCB of every row of `rows` (row-major, rows as wide as the
+     * training rows) into `out`, one value per row; bitwise equal to the
+     * one-row `lcb`. Scratch beyond `out` is O(trainSize() * kBlock),
+     * so callers fan large pools out as slices over a thread pool.
+     */
+    void lcb(std::span<const double> rows, double kappa,
+             std::span<double> out) const;
+
     /** Number of training points. */
-    size_t trainSize() const { return x_.size(); }
+    size_t trainSize() const { return n_; }
 
   private:
-    double kernel(const std::vector<double> &a,
-                  const std::vector<double> &b) const;
+    /**
+     * Posterior mean and clipped variance of `mean.size()` row-major
+     * rows: whole blocks, then the tail a pair of columns at a time.
+     */
+    void posterior(std::span<const double> rows, std::span<double> mean,
+                   std::span<double> var) const;
 
     GpParams params_;
-    std::vector<std::vector<double>> x_;
+    size_t n_ = 0;
+    size_t dim_ = 0;
+    std::vector<double> xt_; ///< training features, xt_[f * n_ + i]
     double y_mean_ = 0.0;
     std::vector<double> alpha_; ///< K^-1 (y - mean)
     std::unique_ptr<Cholesky> chol_;

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
 
 #include "arch/area_model.hh"
 #include "exec/eval_cache.hh"
@@ -121,41 +123,64 @@ detail::bayesOptSearchImpl(const std::vector<Layer> &layers,
             // Inner loop: per candidate hardware, pick the LCB-best
             // mapping per layer; outer loop: pick the hardware whose
             // predicted network score is best. Hardware proposals stay
-            // on the main stream (serial, cheap); the expensive
-            // (hardware x layer) pool slices are scored in parallel,
-            // each drawing its map_candidates from its own stream so
-            // any jobs value reproduces the same pool.
+            // on the main stream (serial, cheap). Each (hardware x
+            // layer) pool slice draws its map_candidates from its own
+            // stream, so any jobs value reproduces the same pool, and
+            // the whole pool is then scored in GP posterior blocks;
+            // both fan out on the thread pool.
             const size_t n_layers = layers.size();
+            const size_t n_maps =
+                    static_cast<size_t>(std::max(cfg.map_candidates, 0));
             std::vector<HardwareConfig> cand_hws(
                     static_cast<size_t>(cfg.hw_candidates));
             for (HardwareConfig &cand : cand_hws)
                 cand = randomHardware(rng);
 
-            struct Slice
-            {
-                double lcb = std::numeric_limits<double>::infinity();
-                Mapping map;
-            };
-            auto slices = pool.parallelMap(
-                    cand_hws.size() * n_layers, [&](size_t t) {
+            const size_t n_slices = cand_hws.size() * n_layers;
+            std::vector<Mapping> pool_maps(n_slices * n_maps);
+            std::vector<double> rows(pool_maps.size() * kFeatureSize);
+            pool.parallelFor(n_slices, [&](size_t t) {
                 size_t hc = t / n_layers;
                 size_t li = t % n_layers;
                 uint64_t sid = (static_cast<uint64_t>(sample) *
                         cand_hws.size() + hc) * n_layers + li;
                 Rng srng = Rng::stream(cfg.seed, sid);
-                Slice s;
-                for (int mc = 0; mc < cfg.map_candidates; ++mc) {
-                    Mapping m = randomValidMapping(layers[li],
+                for (size_t col = t * n_maps; col < (t + 1) * n_maps;
+                        ++col) {
+                    pool_maps[col] = randomValidMapping(layers[li],
                             cand_hws[hc], srng, 16);
-                    double v = gp.lcb(encodeFeatures(layers[li], m,
-                            cand_hws[hc]), cfg.lcb_kappa);
-                    if (v < s.lcb) {
-                        s.lcb = v;
-                        s.map = std::move(m);
-                    }
+                    std::vector<double> f = encodeFeatures(layers[li],
+                            pool_maps[col], cand_hws[hc]);
+                    std::copy(f.begin(), f.end(),
+                            rows.begin() + static_cast<long>(
+                                    col * kFeatureSize));
                 }
-                return s;
             });
+
+            std::vector<double> lcbs(pool_maps.size());
+            const size_t block = GaussianProcess::kBlock;
+            pool.parallelFor((lcbs.size() + block - 1) / block,
+                    [&](size_t b) {
+                size_t lo = b * block;
+                size_t cnt = std::min(block, lcbs.size() - lo);
+                gp.lcb(std::span<const double>(rows).subspan(
+                               lo * kFeatureSize, cnt * kFeatureSize),
+                        cfg.lcb_kappa,
+                        std::span<double>(lcbs).subspan(lo, cnt));
+            });
+
+            // Per slice, the first strict LCB minimum (none when every
+            // value is NaN: the slice keeps a default mapping).
+            std::vector<double> slice_lcb(n_slices,
+                    std::numeric_limits<double>::infinity());
+            std::vector<const Mapping *> slice_map(n_slices, nullptr);
+            for (size_t t = 0; t < n_slices; ++t)
+                for (size_t col = t * n_maps; col < (t + 1) * n_maps;
+                        ++col)
+                    if (lcbs[col] < slice_lcb[t]) {
+                        slice_lcb[t] = lcbs[col];
+                        slice_map[t] = &pool_maps[col];
+                    }
 
             double best_score =
                     std::numeric_limits<double>::infinity();
@@ -163,13 +188,15 @@ detail::bayesOptSearchImpl(const std::vector<Layer> &layers,
                 // Sum of per-layer log-EDP LCBs scores the design.
                 double score = 0.0;
                 for (size_t li = 0; li < n_layers; ++li)
-                    score += slices[hc * n_layers + li].lcb *
+                    score += slice_lcb[hc * n_layers + li] *
                             static_cast<double>(layers[li].count);
                 if (score < best_score) {
                     best_score = score;
                     hw = cand_hws[hc];
-                    for (size_t li = 0; li < n_layers; ++li)
-                        maps[li] = slices[hc * n_layers + li].map;
+                    for (size_t li = 0; li < n_layers; ++li) {
+                        const Mapping *m = slice_map[hc * n_layers + li];
+                        maps[li] = m != nullptr ? *m : Mapping{};
+                    }
                 }
             }
         }

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/search_api.hh"
@@ -511,6 +512,45 @@ TEST(ApiDeathTest, UnknownOptionKeyIsFatal)
     spec.options.set("steps_per_start", 10); // a dosa key, not random
     EXPECT_EXIT(runSearch(spec), ::testing::ExitedWithCode(1),
             "unknown option.*steps_per_start.*random");
+}
+
+TEST(ApiSpecValidation, CountsAndPeriodsMustBePositive)
+{
+    const std::vector<std::pair<SearchSpec, const char *>> cases = {
+        {goldenBayesOptSpec(), "warmup_samples"},
+        {goldenBayesOptSpec(), "hw_candidates"},
+        {goldenBayesOptSpec(), "map_candidates"},
+        {goldenBayesOptSpec(), "refit_every"},
+        {goldenBayesOptSpec(), "max_train_points"},
+        {goldenDosaSpec(), "round_every"},
+    };
+    for (const auto &[base, key] : cases) {
+        for (double bad : {0.0, -3.0, 0.5, 4294967296.0, std::nan("")}) {
+            SearchSpec spec = base;
+            spec.options.set(key, bad);
+            std::string error;
+            EXPECT_FALSE(validateSpec(spec, error)) << key << "=" << bad;
+            EXPECT_NE(error.find(std::string("\"") + key + "\""),
+                    std::string::npos)
+                    << error;
+            EXPECT_NE(error.find(base.algorithm), std::string::npos)
+                    << error;
+            EXPECT_NE(error.find("[1, 2147483647]"), std::string::npos)
+                    << error;
+        }
+        SearchSpec ok = base;
+        ok.options.set(key, 1.0);
+        std::string error;
+        EXPECT_TRUE(validateSpec(ok, error)) << key << ": " << error;
+    }
+}
+
+TEST(ApiDeathTest, BayesOptZeroRefitPeriodIsFatalNotSigfpe)
+{
+    SearchSpec spec = goldenBayesOptSpec();
+    spec.options.set("refit_every", 0);
+    EXPECT_EXIT(runSearch(spec), ::testing::ExitedWithCode(1),
+            "refit_every.*\\[1, 2147483647\\].*got 0");
 }
 
 TEST(ApiDeathTest, EmptyWorkloadIsFatal)

@@ -2,7 +2,8 @@
  * @file
  * Golden-trace regression fixtures: one tiny canonical fixed-seed run
  * per searcher (DOSA, random co-search, fixed-hardware mapper,
- * BB-BO), serialized bit-exactly (hex floats) under `tests/golden/`
+ * BB-BO, plus BB-BO past its training-set cap), serialized bit-exactly
+ * (hex floats) under `tests/golden/`
  * and diffed against live runs. The point is to freeze searcher
  * *results*, so interpreter rewrites (batched replay, future SIMD
  * work) cannot silently drift traces or selected designs — any
@@ -104,7 +105,7 @@ readGolden(const std::string &path, Golden &g)
 }
 
 /**
- * Regenerate-or-diff driver shared by the four searcher fixtures.
+ * Regenerate-or-diff driver shared by the searcher fixtures.
  * Comparison is exact (==): these are determinism fixtures, not
  * accuracy checks.
  */
@@ -178,6 +179,31 @@ TEST(GoldenTrace, BayesOpt)
     cfg.map_candidates = 4;
     cfg.seed = 21;
     checkAgainstGolden("bayesopt", bayesOptSearch(goldenLayers(), cfg));
+}
+
+/**
+ * BB-BO past its training-set cap: two layers add two points per
+ * sample, so a 40-point cap makes TrainSet drop its oldest half twice
+ * and refits see 12..40 points. Each guided sample scores 3 x 2 x 12
+ * = 72 candidates, several GP posterior blocks. Pinned serial and at
+ * jobs=3.
+ */
+TEST(GoldenTrace, BayesOptTrainCap)
+{
+    BayesOptConfig cfg;
+    cfg.warmup_samples = 6;
+    cfg.total_samples = 40;
+    cfg.hw_candidates = 3;
+    cfg.map_candidates = 12;
+    cfg.refit_every = 3;
+    cfg.max_train_points = 40;
+    cfg.seed = 23;
+    SearchResult serial = bayesOptSearch(goldenLayers(), cfg);
+    cfg.jobs = 3;
+    SearchResult parallel = bayesOptSearch(goldenLayers(), cfg);
+    EXPECT_EQ(parallel.trace, serial.trace);
+    checkAgainstGolden("bayesopt_cap", serial);
+    checkAgainstGolden("bayesopt_cap", parallel);
 }
 
 } // namespace

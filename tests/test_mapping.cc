@@ -117,6 +117,14 @@ struct RandomMappingCase
     uint64_t seed;
 };
 
+// Without this, GoogleTest prints the raw bytes of the case, and the
+// CTest names then carry the string literal's address, which changes
+// with every build and run under ASLR.
+void PrintTo(const RandomMappingCase &c, std::ostream *os)
+{
+    *os << c.net << "_seed" << c.seed;
+}
+
 class RandomMappingProperty
     : public ::testing::TestWithParam<RandomMappingCase>
 {

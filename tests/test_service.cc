@@ -680,12 +680,25 @@ TEST(Service, MalformedAndInvalidRequestsGetTypedErrors)
     EXPECT_EQ(f.code, service::errc::bad_spec);
     EXPECT_NE(f.message.find("inherit"), std::string::npos);
 
+    // Out-of-domain BB-BO option (a zero refit period would divide by
+    // zero in the worker) -> bad_spec, and the service keeps serving.
+    SearchSpec bad_refit = goldenBayesOptSpec();
+    bad_refit.options.set("refit_every", 0);
+    client.send(service::encodeSearchRequest("b4", bad_refit));
+    f = terminalFrame(collectStream(client));
+    EXPECT_EQ(f.code, service::errc::bad_spec);
+    EXPECT_NE(f.message.find("refit_every"), std::string::npos);
+    client.send(service::encodeSearchRequest("ok",
+            goldenBayesOptSpec()));
+    EXPECT_EQ(terminalFrame(collectStream(client)).kind,
+            Frame::Kind::Done);
+
     std::vector<service::EndpointStats> stats = svc.stats();
     ASSERT_EQ(stats.size(), 4u);
     EXPECT_EQ(stats[0].requests, 1u); // _protocol
     EXPECT_EQ(stats[0].errors, 1u);
-    EXPECT_EQ(stats[2].requests, 3u); // search
-    EXPECT_EQ(stats[2].errors, 3u);
+    EXPECT_EQ(stats[2].requests, 5u); // search
+    EXPECT_EQ(stats[2].errors, 4u);
     EXPECT_FALSE(stats[2].last_error.empty());
 }
 

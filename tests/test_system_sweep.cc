@@ -26,6 +26,13 @@ struct SweepCase
     int baseline_index;
 };
 
+// Without this, GoogleTest prints the raw bytes of the case (pointer
+// and padding), so the CTest names would change with every build.
+void PrintTo(const SweepCase &c, std::ostream *os)
+{
+    *os << c.network << "_baseline" << c.baseline_index;
+}
+
 class NetworkBaselineSweep
     : public ::testing::TestWithParam<SweepCase>
 {
