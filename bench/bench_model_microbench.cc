@@ -17,6 +17,7 @@
 #include "core/adam.hh"
 #include "core/objective.hh"
 #include "gp/gaussian_process.hh"
+#include "gp/posterior_kernel.hh"
 #include "mapping/rounding.hh"
 #include "model/analytical.hh"
 #include "model/reference.hh"
@@ -324,12 +325,13 @@ BM_GpLcbOneRow(benchmark::State &state)
 BENCHMARK(BM_GpLcbOneRow)->Unit(benchmark::kMicrosecond);
 
 /**
- * Batched LCB of `range(0)` candidates at n = 300 in one call;
- * `per_cand` (time per candidate) is the figure to hold against
- * BM_GpLcbOneRow.
+ * Batched LCB of `range(0)` candidates at n = 300 in one call through
+ * one posterior kernel: `portable` (2-wide lanes, any CPU) or
+ * `dispatched` (what GaussianProcess::lcb runs on this CPU). `per_cand`
+ * (time per candidate) is the figure to hold against BM_GpLcbOneRow.
  */
 void
-BM_GpLcbBatch(benchmark::State &state)
+BM_GpLcbBatch(benchmark::State &state, gp_detail::Kernel kernel)
 {
     const size_t width = size_t(state.range(0));
     GpData d = gpData(300, width);
@@ -337,7 +339,7 @@ BM_GpLcbBatch(benchmark::State &state)
     gp.fit(d.x, d.y);
     std::vector<double> out(width);
     for (auto _ : state) {
-        gp.lcb(d.queries, 1.0, out);
+        gp_detail::Posterior::lcb(gp, kernel, d.queries, 1.0, out);
         benchmark::DoNotOptimize(out.data());
         benchmark::ClobberMemory();
     }
@@ -345,8 +347,11 @@ BM_GpLcbBatch(benchmark::State &state)
             double(state.iterations()) * double(width),
             benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_GpLcbBatch)->Arg(8)->Arg(32)->Arg(768)
-        ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_GpLcbBatch, portable, gp_detail::portableKernel())
+        ->Arg(8)->Arg(32)->Arg(768)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_GpLcbBatch, dispatched,
+        gp_detail::dispatchedKernel())
+        ->Arg(8)->Arg(32)->Arg(768)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

@@ -21,6 +21,10 @@
 
 namespace dosa {
 
+namespace gp_detail {
+struct Posterior;
+} // namespace gp_detail
+
 /** Hyperparameters of the squared-exponential kernel. */
 struct GpParams
 {
@@ -33,11 +37,12 @@ struct GpParams
  * GP regressor over fixed-dimension feature vectors.
  *
  * Every posterior query runs through one blocked path (Rasmussen &
- * Williams, GPML Alg. 2.1): up to `kBlock` test points share one pass
- * over the training set and one multi-right-hand-side forward
+ * Williams, GPML Alg. 2.1): up to `kBlock` test points share one tiled
+ * pass over the training set and one multi-right-hand-side forward
  * substitution against the Cholesky factor. Each test point's sums
- * keep the scalar order, so a value never depends on which batch or
- * block position scored it; the one-row calls run the same path.
+ * keep the scalar order, so a value never depends on which batch,
+ * block position or CPU kernel (gp/posterior_kernel.hh) scored it;
+ * the one-row calls run the same path.
  */
 class GaussianProcess
 {
@@ -79,17 +84,13 @@ class GaussianProcess
     size_t trainSize() const { return n_; }
 
   private:
-    /**
-     * Posterior mean and clipped variance of `mean.size()` row-major
-     * rows: whole blocks, then the tail a pair of columns at a time.
-     */
-    void posterior(std::span<const double> rows, std::span<double> mean,
-                   std::span<double> var) const;
+    friend struct gp_detail::Posterior;
 
     GpParams params_;
     size_t n_ = 0;
     size_t dim_ = 0;
-    std::vector<double> xt_; ///< training features, xt_[f * n_ + i]
+    size_t ld_ = 0; ///< n_ rounded up to whole k* tiles
+    std::vector<double> xt_; ///< training features, xt_[f * ld_ + i]
     double y_mean_ = 0.0;
     std::vector<double> alpha_; ///< K^-1 (y - mean)
     std::unique_ptr<Cholesky> chol_;

@@ -160,9 +160,9 @@ SearchService::submit(const std::string &line,
                 : statsFrame(req.id, config_.name, config_.version,
                           stats(), uint64_t(config_.stats_window),
                           obs::globalMetrics().snapshot());
-        bool delivered = sink->send(frame);
         double dt = secondsSince(t0);
         accountRequest(endpoint, dt);
+        bool delivered = sink->send(frame);
         appendRecord({req.id, endpoint,
                 delivered ? RequestRecord::Outcome::Done
                           : RequestRecord::Outcome::Cancelled,
@@ -273,8 +273,6 @@ SearchService::runJob(Job &job)
     if (observer.shutdownCancel()) {
         std::string message = "service shutting down; "
                               "search cancelled";
-        (void)job.sink->send(
-                errorFrame(job.req.id, errc::shutdown, message));
         {
             util::MutexLock lock(mutex_);
             Endpoint &ep = endpoints_["search"];
@@ -286,9 +284,14 @@ SearchService::runJob(Job &job)
         appendRecord({job.req.id, "search",
                 RequestRecord::Outcome::Error, errc::shutdown,
                 samples, dt});
+        (void)job.sink->send(
+                errorFrame(job.req.id, errc::shutdown, message));
         return;
     }
 
+    // Counted before the terminal frame goes out, so a client that
+    // reads `stats` after its own `done` always sees itself counted.
+    accountRequest("search", dt);
     RequestRecord::Outcome outcome;
     if (!observer.alive()) {
         // The client vanished mid-stream; the observer already
@@ -301,7 +304,6 @@ SearchService::runJob(Job &job)
         outcome = delivered ? RequestRecord::Outcome::Done
                             : RequestRecord::Outcome::Cancelled;
     }
-    accountRequest("search", dt);
     appendRecord({job.req.id, "search", outcome, "", samples, dt});
 }
 
@@ -312,7 +314,6 @@ SearchService::replyError(const std::string &endpoint,
                           const std::string &message, FrameSink &sink,
                           double seconds)
 {
-    (void)sink.send(errorFrame(id, code, message));
     {
         util::MutexLock lock(mutex_);
         Endpoint &ep = endpoints_[endpoint];
@@ -323,6 +324,7 @@ SearchService::replyError(const std::string &endpoint,
     }
     appendRecord({id, endpoint, RequestRecord::Outcome::Error, code,
             0, seconds});
+    (void)sink.send(errorFrame(id, code, message));
 }
 
 void

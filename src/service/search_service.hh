@@ -171,7 +171,8 @@ class SearchService
     void runJob(Job &job) EXCLUDES(mutex_);
 
     /**
-     * Reply with an error frame and account it (locks internally).
+     * Account an error, then reply with its frame (locks internally).
+     * Every terminal frame goes out after its request is counted.
      * EXCLUDES enforces the "never hold the mutex across a send"
      * contract at compile time: a sink may block on backpressure.
      */

@@ -1,18 +1,21 @@
 /**
  * @file
  * Unit tests for Gaussian-process regression: interpolation,
- * uncertainty behaviour, LCB ranking, and a differential check of the
- * blocked posterior against the one-row calls and against the plain
- * per-candidate kernel-row + Cholesky::solveLower formulation.
+ * uncertainty behaviour, LCB ranking, and a differential check of
+ * every blocked posterior kernel against the one-row calls and against
+ * the plain per-candidate kernel-row + Cholesky::solveLower
+ * formulation.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <span>
 
 #include "gp/gaussian_process.hh"
+#include "gp/posterior_kernel.hh"
 #include "search/search_common.hh"
 #include "util/rng.hh"
 #include "workload/model_zoo.hh"
@@ -240,39 +243,91 @@ flatten(const std::vector<std::vector<double>> &rows, size_t count)
     return flat;
 }
 
-TEST(GpBatch, BitwiseEqualToOneRowAndReferencePath)
+/** The posterior kernel instantiations (gp/posterior_kernel.hh). */
+enum class Lanes
 {
-    const size_t block = GaussianProcess::kBlock;
+    Portable,
+    Avx2,
+};
+
+// Names the CTest entries by kernel instead of by the enum's raw bytes.
+void
+PrintTo(Lanes lanes, std::ostream *os)
+{
+    *os << (lanes == Lanes::Portable ? "portable" : "avx2");
+}
+
+/**
+ * The blocked-posterior tests, run through each kernel by name; the
+ * AVX2 runs skip on a CPU without AVX2.
+ */
+class GpBatch : public ::testing::TestWithParam<Lanes>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        kernel_ = GetParam() == Lanes::Portable
+                ? gp_detail::portableKernel()
+                : gp_detail::avx2Kernel();
+        if (kernel_ == nullptr)
+            GTEST_SKIP() << "this CPU cannot run the AVX2 kernel";
+    }
+
+    /** GaussianProcess::lcb(rows, kappa, out) through this kernel. */
+    void
+    lcb(const GaussianProcess &gp, std::span<const double> rows,
+        double kappa, std::span<double> out) const
+    {
+        gp_detail::Posterior::lcb(gp, kernel_, rows, kappa, out);
+    }
+
+    gp_detail::Kernel kernel_ = nullptr;
+};
+
+INSTANTIATE_TEST_SUITE_P(Kernels, GpBatch,
+        ::testing::Values(Lanes::Portable, Lanes::Avx2));
+
+TEST_P(GpBatch, BitwiseEqualToOneRowAndReferencePath)
+{
+    // Training sizes around the row blocks (2 and 4 rows) and the k*
+    // tile, widths through two whole blocks and every partial one.
+    const size_t tile = gp_detail::kTile;
     const std::vector<std::vector<double>> queries = boRows(800, 99);
-    for (size_t n : {size_t(1), size_t(7), size_t(300)}) {
+    std::vector<size_t> widths;
+    for (size_t width = 0; width <= 2 * GaussianProcess::kBlock + 1;
+            ++width)
+        widths.push_back(width);
+    widths.push_back(queries.size());
+    for (size_t n : {size_t(1), size_t(3), size_t(4), size_t(5),
+                 size_t(7), tile - 1, tile, tile + 1, size_t(300)}) {
         std::vector<std::vector<double>> x = boRows(n, 7 + n);
         std::vector<double> y = boTargets(x);
         GaussianProcess gp(kBoParams);
         gp.fit(x, y);
         ReferenceGp ref(kBoParams, x, y);
 
-        std::vector<double> one_row(queries.size());
+        std::vector<double> expected(queries.size());
         for (size_t c = 0; c < queries.size(); ++c) {
-            one_row[c] = gp.lcb(queries[c], 1.0);
-            ASSERT_EQ(one_row[c], ref.lcb(queries[c], 1.0))
+            expected[c] = ref.lcb(queries[c], 1.0);
+            ASSERT_EQ(gp.lcb(queries[c], 1.0), expected[c])
                     << "n=" << n << " query " << c;
             ASSERT_EQ(gp.predictMean(queries[c]), ref.mean(queries[c]));
             ASSERT_EQ(gp.predictVar(queries[c]), ref.var(queries[c]));
         }
-        for (size_t width : {size_t(0), size_t(1), size_t(3), block,
-                     block + 1, size_t(800)}) {
+        for (size_t width : widths) {
             std::vector<double> flat = flatten(queries, width);
             std::vector<double> out(width, -1.0);
-            gp.lcb(flat, 1.0, out);
+            lcb(gp, flat, 1.0, out);
             for (size_t c = 0; c < width; ++c)
-                EXPECT_EQ(out[c], one_row[c])
+                EXPECT_EQ(out[c], expected[c])
                         << "n=" << n << " width=" << width
                         << " column " << c;
         }
     }
 }
 
-TEST(GpBatch, RefitToFewerPointsLeavesNoStaleRows)
+TEST_P(GpBatch, RefitToFewerPointsLeavesNoStaleRows)
 {
     std::vector<std::vector<double>> big = boRows(300, 3);
     std::vector<std::vector<double>> small(big.end() - 7, big.end());
@@ -287,15 +342,15 @@ TEST(GpBatch, RefitToFewerPointsLeavesNoStaleRows)
     const std::vector<std::vector<double>> queries = boRows(20, 4);
     std::vector<double> flat = flatten(queries, queries.size());
     std::vector<double> a(queries.size()), b(queries.size());
-    refit.lcb(flat, 2.0, a);
-    fresh.lcb(flat, 2.0, b);
+    lcb(refit, flat, 2.0, a);
+    lcb(fresh, flat, 2.0, b);
     for (size_t c = 0; c < queries.size(); ++c) {
         EXPECT_EQ(a[c], b[c]) << c;
         EXPECT_EQ(a[c], ref.lcb(queries[c], 2.0)) << c;
     }
 }
 
-TEST(GpBatch, NonFiniteFeaturesMatchTheReference)
+TEST_P(GpBatch, NonFiniteFeaturesMatchTheReference)
 {
     std::vector<std::vector<double>> x = boRows(7, 8);
     GaussianProcess gp(kBoParams);
@@ -305,7 +360,7 @@ TEST(GpBatch, NonFiniteFeaturesMatchTheReference)
     queries[0][5] = std::numeric_limits<double>::infinity();
     queries[2][40] = std::numeric_limits<double>::quiet_NaN();
     std::vector<double> out(queries.size());
-    gp.lcb(flatten(queries, queries.size()), 1.0, out);
+    lcb(gp, flatten(queries, queries.size()), 1.0, out);
     EXPECT_EQ(out[0], ref.lcb(queries[0], 1.0));
     EXPECT_EQ(gp.predictVar(queries[0]), ref.var(queries[0]));
     EXPECT_EQ(out[1], ref.lcb(queries[1], 1.0));

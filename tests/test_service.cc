@@ -649,11 +649,25 @@ TEST(Service, MalformedAndInvalidRequestsGetTypedErrors)
     ServiceBus bus(svc);
     ServiceBus::Client client = bus.connect();
 
+    // Every terminal frame goes out after its request is counted, so
+    // the counts already hold when the frame arrives.
+    auto expectCounts = [&](uint64_t protocol_errors,
+                            uint64_t search_requests,
+                            uint64_t search_errors) {
+        std::vector<service::EndpointStats> stats = svc.stats();
+        ASSERT_EQ(stats.size(), 4u);
+        EXPECT_EQ(stats[0].requests, protocol_errors); // _protocol
+        EXPECT_EQ(stats[0].errors, protocol_errors);
+        EXPECT_EQ(stats[2].requests, search_requests); // search
+        EXPECT_EQ(stats[2].errors, search_errors);
+    };
+
     // Unparseable line -> bad_request on the _protocol endpoint.
     client.send("this is not json");
     Frame f = terminalFrame(collectStream(client));
     EXPECT_EQ(f.kind, Frame::Kind::Error);
     EXPECT_EQ(f.code, service::errc::bad_request);
+    expectCounts(1, 0, 0);
 
     // Unknown algorithm -> bad_spec, with the registry listed.
     SearchSpec bad = goldenMapperSpec();
@@ -664,6 +678,7 @@ TEST(Service, MalformedAndInvalidRequestsGetTypedErrors)
     EXPECT_EQ(f.id, "b1");
     EXPECT_EQ(f.code, service::errc::bad_spec);
     EXPECT_NE(f.message.find("mapper"), std::string::npos);
+    expectCounts(1, 1, 1);
 
     // Unknown option key for a known algorithm -> bad_spec.
     SearchSpec bad_opt = goldenMapperSpec();
@@ -671,6 +686,7 @@ TEST(Service, MalformedAndInvalidRequestsGetTypedErrors)
     client.send(service::encodeSearchRequest("b2", bad_opt));
     f = terminalFrame(collectStream(client));
     EXPECT_EQ(f.code, service::errc::bad_spec);
+    expectCounts(1, 2, 2);
 
     // Non-inherit cache mode -> bad_spec (global-flag race).
     SearchSpec bad_cache = goldenMapperSpec();
@@ -679,6 +695,7 @@ TEST(Service, MalformedAndInvalidRequestsGetTypedErrors)
     f = terminalFrame(collectStream(client));
     EXPECT_EQ(f.code, service::errc::bad_spec);
     EXPECT_NE(f.message.find("inherit"), std::string::npos);
+    expectCounts(1, 3, 3);
 
     // Out-of-domain BB-BO option (a zero refit period would divide by
     // zero in the worker) -> bad_spec, and the service keeps serving.
@@ -688,18 +705,13 @@ TEST(Service, MalformedAndInvalidRequestsGetTypedErrors)
     f = terminalFrame(collectStream(client));
     EXPECT_EQ(f.code, service::errc::bad_spec);
     EXPECT_NE(f.message.find("refit_every"), std::string::npos);
+    expectCounts(1, 4, 4);
     client.send(service::encodeSearchRequest("ok",
             goldenBayesOptSpec()));
     EXPECT_EQ(terminalFrame(collectStream(client)).kind,
             Frame::Kind::Done);
-
-    std::vector<service::EndpointStats> stats = svc.stats();
-    ASSERT_EQ(stats.size(), 4u);
-    EXPECT_EQ(stats[0].requests, 1u); // _protocol
-    EXPECT_EQ(stats[0].errors, 1u);
-    EXPECT_EQ(stats[2].requests, 5u); // search
-    EXPECT_EQ(stats[2].errors, 4u);
-    EXPECT_FALSE(stats[2].last_error.empty());
+    expectCounts(1, 5, 4);
+    EXPECT_FALSE(svc.stats()[2].last_error.empty());
 }
 
 TEST(Service, StreamsAreByteIdenticalToDirectRunsAndGoldens)
