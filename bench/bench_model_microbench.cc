@@ -2,8 +2,9 @@
  * @file
  * Google-benchmark microbenchmarks for the hot paths of the DSE
  * stack: reference evaluation, differentiable-model evaluation,
- * objective gradients, rounding, the RTL substitute and the BB-BO
- * Gaussian-process fit and posterior. These support
+ * objective gradients, rounding, the RTL substitute, random mapping
+ * sampling and divisor lookups, and the BB-BO Gaussian-process fit
+ * and posterior. These support
  * the paper's premise that model evaluations are cheap enough to use
  * as the inner loop of search.
  */
@@ -24,6 +25,8 @@
 #include "rtl/gemmini_rtl.hh"
 #include "search/cosa_mapper.hh"
 #include "search/search_common.hh"
+#include "util/divisors.hh"
+#include "util/rng.hh"
 #include "workload/model_zoo.hh"
 
 using namespace dosa;
@@ -255,6 +258,48 @@ BM_CosaMapper(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CosaMapper);
+
+/**
+ * The random mapping sampler as random search and BB-BO call it:
+ * rejection-sampled valid mappings over the resnet50 layer mix, one
+ * mapping (all its rejected tries included) per iteration.
+ */
+void
+BM_RandomValidMapping(benchmark::State &state)
+{
+    const std::vector<Layer> layers = resnet50().layers;
+    Rng rng(3);
+    size_t i = 0;
+    for (auto _ : state) {
+        Mapping m = randomValidMapping(layers[i], kHw, rng);
+        benchmark::DoNotOptimize(m.factors.spatial_c);
+        i = (i + 1) % layers.size();
+    }
+}
+BENCHMARK(BM_RandomValidMapping)->Unit(benchmark::kMicrosecond);
+
+/**
+ * Memoized divisor lookups (all hits after the first pass) over the
+ * resnet50 dimension sizes, from 1 and 4 threads at once: a hit takes
+ * no lock, so the per-call time should hold as threads are added.
+ */
+void
+BM_DivisorsOf(benchmark::State &state)
+{
+    static const std::vector<int64_t> sizes = [] {
+        std::vector<int64_t> out;
+        for (const Layer &l : resnet50().layers)
+            for (Dim d : kAllDims)
+                out.push_back(l.size(d));
+        return out;
+    }();
+    size_t i = size_t(state.thread_index()) * 7;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(divisorsOf(sizes[i % sizes.size()]));
+        ++i;
+    }
+}
+BENCHMARK(BM_DivisorsOf)->Threads(1)->Threads(4);
 
 /**
  * BB-BO-shaped GP data: `n` training rows (encodeFeatures of random

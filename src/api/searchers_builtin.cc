@@ -19,6 +19,7 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "api/search_api.hh"
 #include "core/dosa_optimizer.hh"
@@ -226,6 +227,31 @@ class MapperSearcher : public Searcher
     optionKeys() const override
     {
         return {"samples"};
+    }
+
+    /**
+     * The fixed hardware must be at least one PE and one KiB of each
+     * buffer: a zero PE cap leaves no spatial factor to draw.
+     */
+    bool
+    checkOptionValues(const SearchSpec &spec,
+                      std::string &error) const override
+    {
+        const std::pair<const char *, int64_t> fields[] = {
+            {"pe_dim", spec.fixed_hw.pe_dim},
+            {"accum_kib", spec.fixed_hw.accum_kib},
+            {"spad_kib", spec.fixed_hw.spad_kib},
+        };
+        for (const auto &[field, value] : fields) {
+            if (value >= 1)
+                continue;
+            error = std::string("fixed_hw.") + field +
+                    " for search algorithm \"" + name() +
+                    "\" must be >= 1 (got " + std::to_string(value) +
+                    ")";
+            return false;
+        }
+        return true;
     }
 
     /** Sample count: explicit option, else the unified budget. */

@@ -4,6 +4,7 @@
  */
 #include "mapping/mapping.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/divisors.hh"
@@ -96,29 +97,31 @@ Mapping::str() const
     return os.str();
 }
 
+namespace {
+
+/** Uniform draw from the divisors of n that are <= cap (cap >= 1). */
+int64_t
+randomDivisorAtMost(int64_t n, int64_t cap, Rng &rng)
+{
+    // The divisor list is sorted, so the allowed ones are a prefix.
+    const auto &divs = divisorsOf(n);
+    auto count = std::upper_bound(divs.begin(), divs.end(), cap) -
+                 divs.begin();
+    return divs[size_t(rng.uniformInt(0, count - 1))];
+}
+
+} // namespace
+
 Mapping
 randomMapping(const Layer &layer, Rng &rng, int64_t pe_cap)
 {
+    if (pe_cap < 1)
+        panic("randomMapping: pe_cap must be >= 1 (got " +
+              std::to_string(pe_cap) + ")");
     Mapping m;
     // Spatial factors: random divisors bounded by the PE cap.
-    {
-        const auto &cdivs = divisorsOf(layer.c);
-        std::vector<int64_t> ok;
-        for (int64_t d : cdivs)
-            if (d <= pe_cap)
-                ok.push_back(d);
-        m.factors.spatial_c = ok[size_t(rng.uniformInt(0,
-                static_cast<int64_t>(ok.size()) - 1))];
-    }
-    {
-        const auto &kdivs = divisorsOf(layer.k);
-        std::vector<int64_t> ok;
-        for (int64_t d : kdivs)
-            if (d <= pe_cap)
-                ok.push_back(d);
-        m.factors.spatial_k = ok[size_t(rng.uniformInt(0,
-                static_cast<int64_t>(ok.size()) - 1))];
-    }
+    m.factors.spatial_c = randomDivisorAtMost(layer.c, pe_cap, rng);
+    m.factors.spatial_k = randomDivisorAtMost(layer.k, pe_cap, rng);
     // Temporal factors: split the residual of each dimension across the
     // four levels.
     for (Dim d : kAllDims) {
@@ -127,7 +130,8 @@ randomMapping(const Layer &layer, Rng &rng, int64_t pe_cap)
             residual /= m.factors.spatial_c;
         if (d == Dim::K)
             residual /= m.factors.spatial_k;
-        auto split = randomFactorSplit(residual, kNumLevels, rng);
+        std::array<int64_t, kNumLevels> split{};
+        randomFactorSplit(residual, split, rng);
         for (int lvl = 0; lvl < kNumLevels; ++lvl)
             m.factors.t(lvl, d) = split[size_t(lvl)];
     }

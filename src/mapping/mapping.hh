@@ -154,7 +154,7 @@ struct Mapping
  * Generate an unconstrained random complete mapping for a layer: every
  * dimension's size is randomly factor-split across the levels, spatial
  * factors are random divisors bounded by `pe_cap`, and each level gets
- * a random ordering.
+ * a random ordering. Allocates nothing. Panics if pe_cap < 1.
  */
 Mapping randomMapping(const Layer &layer, Rng &rng,
                       int64_t pe_cap = kMaxPeDim);

@@ -5,7 +5,9 @@
 #include "model/reference.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <string>
 
 #include "model/analytical.hh" // orderPermutation only
 #include "util/logging.hh"
@@ -22,16 +24,22 @@ struct LoopEntry
     int64_t bound;
 };
 
-/** Temporal nest, outermost first, covering levels >= from_level. */
-std::vector<LoopEntry>
-buildNest(const Mapping &m, int from_level)
+/**
+ * The full temporal nest, outermost first, on the stack. The nest of
+ * the levels >= from_level is its first
+ * kNumDims * (kNumLevels - from_level) loops.
+ */
+using Nest = std::array<LoopEntry, size_t(kNumDims * kNumLevels)>;
+
+Nest
+buildNest(const Mapping &m)
 {
-    std::vector<LoopEntry> nest;
-    nest.reserve(size_t(kNumDims * (kNumLevels - from_level)));
-    for (int lvl = kNumLevels - 1; lvl >= from_level; --lvl) {
+    Nest nest{};
+    size_t i = 0;
+    for (int lvl = kNumLevels - 1; lvl >= 0; --lvl) {
         const auto &perm = orderPermutation(m.order[size_t(lvl)]);
         for (Dim d : perm)
-            nest.push_back({lvl, d, m.factors.t(lvl, d)});
+            nest[i++] = {lvl, d, m.factors.t(lvl, d)};
     }
     return nest;
 }
@@ -42,11 +50,11 @@ buildNest(const Mapping &m, int from_level)
  * loop whose bound exceeds 1.
  */
 double
-refetchCount(const Mapping &m, int from_level, Tensor t)
+refetchCount(const Nest &nest, int from_level, Tensor t)
 {
-    std::vector<LoopEntry> nest = buildNest(m, from_level);
+    const int size = kNumDims * (kNumLevels - from_level);
     int innermost_rel = -1;
-    for (int i = static_cast<int>(nest.size()) - 1; i >= 0; --i) {
+    for (int i = size - 1; i >= 0; --i) {
         if (dimRelevant(t, nest[size_t(i)].dim) &&
             nest[size_t(i)].bound > 1) {
             innermost_rel = i;
@@ -104,6 +112,16 @@ discount(const Mapping &m, int level, Tensor t)
     return d;
 }
 
+/** Panic unless `mapping` is complete and positive for `layer`. */
+void
+requireValidMapping(const char *caller, const Layer &layer,
+                    const Mapping &mapping)
+{
+    if (!mapping.complete(layer) || !mapping.positive())
+        panic(std::string(caller) + ": mapping is not a valid complete "
+              "mapping for layer " + layer.str());
+}
+
 /** Round bytes up to whole DRAM blocks (Timeloop-style accounting). */
 double
 quantizeToBlocks(double bytes)
@@ -119,22 +137,21 @@ RefEval
 referenceEval(const Layer &layer, const Mapping &mapping,
               const HardwareConfig &hw)
 {
-    if (!mapping.complete(layer) || !mapping.positive())
-        panic("referenceEval: mapping is not a valid complete mapping "
-              "for layer " + layer.str());
+    requireValidMapping("referenceEval", layer, mapping);
 
     RefEval ev;
     const double macs = layer.macs();
     auto at = [](Tensor t) { return size_t(static_cast<int>(t)); };
 
     // Writes into on-chip levels.
+    const Nest nest = buildNest(mapping);
     for (Tensor t : kAllTensors) {
         for (int i = 0; i < kDram; ++i) {
             if (!levelHoldsTensor(i, t))
                 continue;
             ev.writes[size_t(i)][at(t)] =
                     tileFootprint(layer, mapping, i, t) *
-                    refetchCount(mapping, i, t);
+                    refetchCount(nest, i, t);
         }
     }
 
@@ -230,6 +247,25 @@ referenceEval(const Layer &layer, const Mapping &mapping,
     ev.energy_uj = energy_pj * 1e-6;
     ev.edp = ev.energy_uj * ev.latency;
     return ev;
+}
+
+bool
+referenceFits(const Layer &layer, const Mapping &mapping,
+              const HardwareConfig &hw)
+{
+    requireValidMapping("referenceFits", layer, mapping);
+    // The same three requirements, computed the same way, as
+    // referenceEval's `fits`.
+    double pe_dim_req = static_cast<double>(std::max(
+            mapping.factors.spatial_c, mapping.factors.spatial_k));
+    double accum_words_req =
+            tileFootprint(layer, mapping, kAccumulator, Tensor::Output);
+    double spad_words_req =
+            tileFootprint(layer, mapping, kScratchpad, Tensor::Weight) +
+            tileFootprint(layer, mapping, kScratchpad, Tensor::Input);
+    return pe_dim_req <= static_cast<double>(hw.pe_dim) &&
+           accum_words_req <= hw.accumWords() &&
+           spad_words_req <= hw.spadWords();
 }
 
 HardwareConfig

@@ -69,6 +69,14 @@ RefEval referenceEval(const Layer &layer, const Mapping &mapping,
                       const HardwareConfig &hw);
 
 /**
+ * Fit probe: exactly referenceEval(layer, mapping, hw).fits, computing
+ * only the PE, accumulator and scratchpad requirements it compares.
+ * Panics on an invalid mapping, like referenceEval.
+ */
+bool referenceFits(const Layer &layer, const Mapping &mapping,
+                   const HardwareConfig &hw);
+
+/**
  * Infer the minimal hardware configuration supporting every
  * layer/mapping pair (Fig. 3: parameter-wise max, then quantization to
  * integer PE side and whole-KiB SRAMs).

@@ -115,11 +115,12 @@ randomValidMapping(const Layer &layer, const HardwareConfig &hw, Rng &rng,
 {
     for (int i = 0; i < max_tries; ++i) {
         Mapping m = randomMapping(layer, rng, hw.pe_dim);
-        // Deliberately not routed through the EvalCache: rejection
-        // samples are almost always unique, so memoizing the fit
-        // probe would only fill the cache with dead entries.
-        RefEval ev = referenceEval(layer, m, hw);
-        if (ev.fits)
+        // Only the fit is needed here: the caller's own eval of the
+        // accepted mapping is the one full eval it costs. Not routed
+        // through the EvalCache: rejection samples are almost always
+        // unique, so memoizing them would only fill it with dead
+        // entries.
+        if (referenceFits(layer, m, hw))
             return m;
     }
     return minimalMapping(layer);

@@ -6,8 +6,9 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
-#include <unordered_map>
+#include <memory>
 
 #include "obs/metrics.hh"
 #include "util/logging.hh"
@@ -33,66 +34,166 @@ computeDivisors(int64_t n)
     return lo;
 }
 
+class DivisorMemo;
+DivisorMemo &divisorMemo();
+
 /**
- * Mutex-striped divisor memo, mirroring the EvalCache (src/exec)
- * sharding so parallel searchers rounding mappings concurrently do
- * not contend on one lock. References handed out stay valid forever:
- * unordered_map never invalidates element references and entries are
- * never erased.
+ * Divisor memo with a lock-free read path. Lists live in immutable
+ * nodes chained off a fixed bucket array; a node is published with a
+ * release store of its bucket head and is never changed or freed
+ * (the memo itself is never destroyed), so a hit is a few acquire
+ * loads and the reference it returns stays valid forever. Only a miss takes `insert_mtx_`,
+ * which serializes publication.
+ *
+ * Counting: each call counts once, as a hit or a miss. A miss adds
+ * an entry under the insert lock. Hits go to the calling thread's own
+ * cache-line-sized slot, written only by that thread with relaxed
+ * load+store (no read-modify-write), so a hit writes no shared cache
+ * line. A thread's exit hands its slot, count intact, to the next new
+ * thread, so the sum over slots stays exact. stats() sums relaxed
+ * loads; the sum is exact once the counting threads have been joined
+ * (or their tasks waited for), and a lower bound before that.
  */
-struct DivisorMemo
+class DivisorMemo
 {
-    static constexpr size_t kNumShards = 16;
-
-    struct Shard
-    {
-        util::Mutex mtx;
-        std::unordered_map<int64_t, std::vector<int64_t>> map
-                GUARDED_BY(mtx);
-        // No atomics needed; summed by stats() under the same lock.
-        uint64_t hits GUARDED_BY(mtx) = 0;
-        uint64_t misses GUARDED_BY(mtx) = 0;
-    };
-
-    std::array<Shard, kNumShards> shards;
-
+  public:
     const std::vector<int64_t> &
     get(int64_t n)
     {
-        // Mix before masking: raw low bits would send the
-        // power-of-two / multiple-of-16 sizes that dominate DNN
-        // layers all to one shard.
-        uint64_t h = static_cast<uint64_t>(n) * 0xbf58476d1ce4e5b9ull;
-        Shard &shard = shards[(h >> 32) & (kNumShards - 1)];
-        util::MutexLock lock(shard.mtx);
-        auto it = shard.map.find(n);
-        if (it == shard.map.end()) {
-            shard.misses++;
-            it = shard.map.emplace(n, computeDivisors(n)).first;
-        } else {
-            shard.hits++;
+        std::atomic<const Node *> &head = bucket(n);
+        if (const Node *hit = find(head, n)) {
+            countHit();
+            return hit->divs;
         }
-        return it->second;
+        util::MutexLock lock(insert_mtx_);
+        // Another thread may have published n since the probe.
+        if (const Node *hit = find(head, n)) {
+            countHit();
+            return hit->divs;
+        }
+        entries_++;
+        // Owned by the (immortal) memo through its bucket chain.
+        const Node *node = new Node{n, computeDivisors(n),
+                head.load(std::memory_order_relaxed)};
+        head.store(node, std::memory_order_release);
+        return node->divs;
     }
 
     DivisorMemoStats
     stats()
     {
         DivisorMemoStats s;
-        for (Shard &shard : shards) {
-            util::MutexLock lock(shard.mtx);
-            s.hits += shard.hits;
-            s.misses += shard.misses;
-            s.entries += shard.map.size();
+        {
+            util::MutexLock lock(insert_mtx_);
+            // Entries are never erased: one per miss.
+            s.misses = s.entries = entries_;
         }
+        util::MutexLock lock(slots_mtx_);
+        for (const auto &slot : slots_)
+            s.hits += slot->hits.load(std::memory_order_relaxed);
         return s;
     }
+
+  private:
+    struct Node
+    {
+        int64_t n;
+        std::vector<int64_t> divs;
+        const Node *next;
+    };
+
+    /** One thread's hit count, alone on its cache line. */
+    struct alignas(64) HitSlot
+    {
+        std::atomic<uint64_t> hits{0};
+        bool in_use = true; ///< guarded by slots_mtx_
+    };
+
+    /** Binds the calling thread to a slot; returns it at thread exit. */
+    struct ThreadSlot
+    {
+        HitSlot *slot = nullptr;
+
+        ThreadSlot() = default;
+        ThreadSlot(const ThreadSlot &) = delete;
+        ThreadSlot &operator=(const ThreadSlot &) = delete;
+
+        ~ThreadSlot()
+        {
+            if (slot)
+                divisorMemo().releaseSlot(slot);
+        }
+    };
+
+    static constexpr size_t kBucketBits = 12;
+
+    std::atomic<const Node *> &
+    bucket(int64_t n)
+    {
+        // Mix before taking bits: DNN sizes are mostly multiples of
+        // powers of two, whose raw low bits would share buckets.
+        uint64_t h = static_cast<uint64_t>(n) * 0xbf58476d1ce4e5b9ull;
+        return buckets_[h >> (64 - kBucketBits)];
+    }
+
+    static const Node *
+    find(const std::atomic<const Node *> &head, int64_t n)
+    {
+        for (const Node *p = head.load(std::memory_order_acquire); p;
+             p = p->next)
+            if (p->n == n)
+                return p;
+        return nullptr;
+    }
+
+    void
+    countHit()
+    {
+        static thread_local ThreadSlot mine;
+        if (!mine.slot)
+            mine.slot = acquireSlot();
+        std::atomic<uint64_t> &hits = mine.slot->hits;
+        hits.store(hits.load(std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
+    }
+
+    HitSlot *
+    acquireSlot()
+    {
+        util::MutexLock lock(slots_mtx_);
+        for (const auto &slot : slots_) {
+            if (!slot->in_use) {
+                slot->in_use = true;
+                return slot.get();
+            }
+        }
+        slots_.push_back(std::make_unique<HitSlot>());
+        return slots_.back().get();
+    }
+
+    void
+    releaseSlot(HitSlot *slot)
+    {
+        util::MutexLock lock(slots_mtx_);
+        slot->in_use = false;
+    }
+
+    std::array<std::atomic<const Node *>, size_t(1) << kBucketBits>
+            buckets_{};
+
+    util::Mutex insert_mtx_;
+    uint64_t entries_ GUARDED_BY(insert_mtx_) = 0;
+
+    util::Mutex slots_mtx_;
+    std::vector<std::unique_ptr<HitSlot>> slots_ GUARDED_BY(slots_mtx_);
 };
 
 DivisorMemo &
 divisorMemo()
 {
-    static DivisorMemo memo;
+    // Never destroyed: pool threads that outlive static destruction
+    // still return their hit slots at exit.
+    static DivisorMemo &memo = *new DivisorMemo;
     // One-time hookup of the memo's live counters into metrics
     // snapshots (the memo itself stays push-free on its hot path).
     static const bool registered = [] {
@@ -222,19 +323,50 @@ DivisorQuota::takeAtMost(double target, int64_t cap)
     return best;
 }
 
+void
+randomFactorSplit(int64_t n, std::span<int64_t> out, Rng &rng)
+{
+    if (out.empty())
+        return;
+    // Every quota in the chain divides n, so divisors(remaining) is
+    // the subsequence of divisors(n) that divides remaining: draw an
+    // index into it by counting, instead of one lookup per part.
+    const auto &divs = divisorsOf(n);
+    int64_t remaining = n;
+    for (size_t i = 0; i + 1 < out.size(); ++i) {
+        int64_t pick = remaining;
+        if (remaining == n) {
+            pick = divs[static_cast<size_t>(rng.uniformInt(0,
+                    static_cast<int64_t>(divs.size()) - 1))];
+        } else {
+            int64_t count = 0;
+            for (int64_t d : divs) {
+                if (d > remaining)
+                    break;
+                count += remaining % d == 0;
+            }
+            int64_t k = rng.uniformInt(0, count - 1);
+            for (int64_t d : divs) {
+                if (remaining % d != 0)
+                    continue;
+                if (k == 0) {
+                    pick = d;
+                    break;
+                }
+                --k;
+            }
+        }
+        out[i] = pick;
+        remaining /= pick;
+    }
+    out.back() = remaining;
+}
+
 std::vector<int64_t>
 randomFactorSplit(int64_t n, int parts, Rng &rng)
 {
     std::vector<int64_t> out(static_cast<size_t>(parts), 1);
-    int64_t remaining = n;
-    for (int i = 0; i < parts - 1; ++i) {
-        const auto &divs = divisorsOf(remaining);
-        int64_t pick = divs[static_cast<size_t>(rng.uniformInt(0,
-                static_cast<int64_t>(divs.size()) - 1))];
-        out[static_cast<size_t>(i)] = pick;
-        remaining /= pick;
-    }
-    out[static_cast<size_t>(parts - 1)] = remaining;
+    randomFactorSplit(n, out, rng);
     return out;
 }
 

@@ -12,16 +12,23 @@
 #define DOSA_UTIL_DIVISORS_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace dosa {
 
 class Rng;
 
-/** Return the sorted list of positive divisors of n (n >= 1). Memoized. */
+/**
+ * Return the sorted list of positive divisors of n (n >= 1). Memoized;
+ * a memo hit takes no lock and writes no shared cache line, and the
+ * returned reference stays valid for the life of the process.
+ */
 const std::vector<int64_t> &divisorsOf(int64_t n);
 
 /** Live hit/miss/entry counts of the divisor memo behind divisorsOf.
+ *  Every divisorsOf call counts exactly once, as a hit or a miss; the
+ *  counts are exact once the calling threads have been joined.
  *  Also published into the global metrics registry (obs/metrics.hh)
  *  as the `divisors.memo_*` counters via a snapshot collector. */
 struct DivisorMemoStats
@@ -57,12 +64,19 @@ int64_t largestDivisorAtMost(int64_t n, int64_t cap);
 std::vector<int64_t> randomFactorSplit(int64_t n, int parts, Rng &rng);
 
 /**
+ * As above, into caller storage: out.size() parts, with the same RNG
+ * draws (same order, same bounds) and the same factors. Allocates
+ * nothing and looks up the divisors of n once.
+ */
+void randomFactorSplit(int64_t n, std::span<int64_t> out, Rng &rng);
+
+/**
  * Divisor-quota chain over one dimension size: rounding walks a chain
  * remaining -> remaining / f1 -> ... where every intermediate value
  * divides the original n. Since divisors(remaining) is a subset of
  * divisors(n), the whole chain is served from the single memoized
- * divisor list of n, grabbed once at construction — one cache probe
- * per dimension instead of one (lock + hash lookup) per factor.
+ * divisor list of n, grabbed once at construction — one memo lookup
+ * per dimension instead of one per factor.
  */
 class DivisorQuota
 {

@@ -545,6 +545,35 @@ TEST(ApiSpecValidation, CountsAndPeriodsMustBePositive)
     }
 }
 
+TEST(ApiSpecValidation, MapperFixedHwMustBePositive)
+{
+    // A zero PE cap used to reach the sampler and index an empty
+    // divisor range; every fixed_hw field must be at least 1.
+    const std::pair<const char *, int64_t HardwareConfig::*> fields[] = {
+        {"pe_dim", &HardwareConfig::pe_dim},
+        {"accum_kib", &HardwareConfig::accum_kib},
+        {"spad_kib", &HardwareConfig::spad_kib},
+    };
+    for (const auto &[field, member] : fields) {
+        for (int64_t bad : {int64_t(0), int64_t(-4)}) {
+            SearchSpec spec = goldenMapperSpec();
+            spec.fixed_hw.*member = bad;
+            std::string error;
+            EXPECT_FALSE(validateSpec(spec, error)) << field << "=" << bad;
+            EXPECT_NE(error.find(std::string("fixed_hw.") + field),
+                    std::string::npos)
+                    << error;
+            EXPECT_NE(error.find("\"mapper\""), std::string::npos)
+                    << error;
+            EXPECT_NE(error.find("got " + std::to_string(bad)),
+                    std::string::npos)
+                    << error;
+            spec.fixed_hw.*member = 1;
+            EXPECT_TRUE(validateSpec(spec, error)) << field << ": " << error;
+        }
+    }
+}
+
 TEST(ApiDeathTest, BayesOptZeroRefitPeriodIsFatalNotSigfpe)
 {
     SearchSpec spec = goldenBayesOptSpec();

@@ -714,6 +714,30 @@ TEST(Service, MalformedAndInvalidRequestsGetTypedErrors)
     EXPECT_FALSE(svc.stats()[2].last_error.empty());
 }
 
+TEST(Service, MapperNonPositiveFixedHwGetsBadSpec)
+{
+    // A fixed_hw.pe_dim of 0 in spec_json used to pass validation and
+    // crash the worker in the sampler; it must come back as a typed
+    // bad_spec, and the service must keep serving.
+    SearchService svc;
+    ServiceBus bus(svc);
+    ServiceBus::Client client = bus.connect();
+
+    SearchSpec bad = goldenMapperSpec();
+    bad.fixed_hw.pe_dim = 0;
+    client.send(service::encodeSearchRequest("z1", bad));
+    Frame f = terminalFrame(collectStream(client));
+    EXPECT_EQ(f.kind, Frame::Kind::Error);
+    EXPECT_EQ(f.id, "z1");
+    EXPECT_EQ(f.code, service::errc::bad_spec);
+    EXPECT_NE(f.message.find("fixed_hw.pe_dim"), std::string::npos)
+            << f.message;
+
+    client.send(service::encodeSearchRequest("ok", goldenMapperSpec()));
+    EXPECT_EQ(terminalFrame(collectStream(client)).kind,
+            Frame::Kind::Done);
+}
+
 TEST(Service, StreamsAreByteIdenticalToDirectRunsAndGoldens)
 {
     const char *names[] = {"dosa", "random", "mapper", "bayesopt"};

@@ -8,6 +8,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <thread>
+#include <vector>
 
 #include "util/cli.hh"
 #include "util/divisors.hh"
@@ -222,6 +224,70 @@ TEST(Divisors, RandomFactorSplitMultipliesBack)
             EXPECT_EQ(prod, n);
         }
     }
+}
+
+TEST(Divisors, ConcurrentReadsShareOneListAndCountExactly)
+{
+    // Sizes no other test touches (so first lookups race to insert)
+    // plus DNN-typical ones that are likely memoized already.
+    std::vector<int64_t> sizes;
+    for (int64_t i = 0; i < 96; ++i)
+        sizes.push_back(1000003 + 2 * i);
+    for (int64_t n : {1, 12, 56, 64, 1024, 3072})
+        sizes.push_back(n);
+    std::vector<std::vector<int64_t>> expect;
+    for (int64_t n : sizes) {
+        std::vector<int64_t> divs;
+        for (int64_t d = 1; d * d <= n; ++d)
+            if (n % d == 0)
+                divs.push_back(d);
+        for (size_t i = divs.size(); i-- > 0;)
+            if (divs[i] * divs[i] != n)
+                divs.push_back(n / divs[i]);
+        expect.push_back(divs);
+    }
+
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 50;
+    const DivisorMemoStats before = divisorMemoStats();
+    std::vector<std::vector<const std::vector<int64_t> *>> seen(
+            kThreads, std::vector<const std::vector<int64_t> *>(
+                              sizes.size(), nullptr));
+    std::vector<int> bad(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            // Each thread starts at a different offset, so the
+            // threads overlap on every size in a different order.
+            for (int r = 0; r < kRounds; ++r) {
+                for (size_t j = 0; j < sizes.size(); ++j) {
+                    size_t i = (j + size_t(t) * 25) % sizes.size();
+                    const auto *got = &divisorsOf(sizes[i]);
+                    if (!seen[t][i])
+                        seen[t][i] = got;
+                    bad[t] += got != seen[t][i];
+                }
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    const DivisorMemoStats after = divisorMemoStats();
+
+    for (int t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(bad[t], 0) << "thread " << t;
+        for (size_t i = 0; i < sizes.size(); ++i) {
+            EXPECT_EQ(seen[t][i], seen[0][i]) << "n=" << sizes[i];
+            EXPECT_EQ(*seen[t][i], expect[i]) << "n=" << sizes[i];
+        }
+    }
+    // The same reference on a later call from this thread.
+    EXPECT_EQ(&divisorsOf(sizes[0]), seen[0][0]);
+    const uint64_t calls = uint64_t(kThreads) * kRounds * sizes.size();
+    EXPECT_EQ((after.hits - before.hits) + (after.misses - before.misses),
+            calls);
+    // Each new size is computed once, however the first calls race.
+    EXPECT_LE(after.misses - before.misses, sizes.size());
 }
 
 TEST(Table, RendersAlignedColumns)
