@@ -76,7 +76,8 @@ class StreamObserver : public SearchObserver
         }
         if (!alive_)
             return false;
-        if (!sink_.send(sampleFrame(id_, event))) {
+        if (!sink_.send(sampleFrame(id_, event),
+                    FrameSink::Delivery::Deferrable)) {
             alive_ = false;
             return false;
         }

@@ -78,12 +78,28 @@ struct ServiceConfig
  * service calls `send` from a single thread at a time, but different
  * requests sharing a sink may interleave — implementations that
  * multiplex must serialize internally.
+ *
+ * The `delivery` hint lets a transport batch high-volume progress
+ * frames: a `Deferrable` frame may wait in the sink for the frames
+ * that follow it, an `Immediate` one goes out before `send` returns,
+ * together with anything held before it (order is kept). Only
+ * `sample` frames are sent `Deferrable`; every request's stream ends
+ * with an `Immediate` terminal frame, so nothing stays held past it.
+ * A sink may ignore the hint.
  */
 class FrameSink
 {
   public:
+    /** How soon a frame must reach the client. */
+    enum class Delivery
+    {
+        Immediate,  ///< before `send` returns
+        Deferrable, ///< may wait for the following frames
+    };
+
     virtual ~FrameSink() = default;
-    virtual bool send(const std::string &frame) = 0;
+    virtual bool send(const std::string &frame,
+                      Delivery delivery = Delivery::Immediate) = 0;
 };
 
 /** Outcome of one handled request, kept for tests and diagnostics. */

@@ -27,8 +27,9 @@ class BusSink : public FrameSink
         : capacity_(capacity < 1 ? 1 : capacity)
     {}
 
+    /** Queues every frame as it comes; the delivery hint is moot. */
     bool
-    send(const std::string &frame) override
+    send(const std::string &frame, Delivery /*delivery*/) override
     {
         util::MutexLock lock(mutex_);
         lock.wait(not_full_, [this]() REQUIRES(mutex_) {

@@ -8,10 +8,13 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 
@@ -40,27 +43,71 @@ errnoString(int err)
 #endif
 }
 
-/** Write all of `data` to `fd`; false on any error. */
-bool
-writeAll(int fd, const char *data, size_t len)
+/** Set `TCP_NODELAY`: a frame written is a frame sent. */
+void
+disableNagle(int fd)
 {
-    size_t off = 0;
-    while (off < len) {
-        ssize_t n = ::send(fd, data + off, len - off, MSG_NOSIGNAL);
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+/**
+ * Write every byte of `iov[0..count)` to `fd` in as few `sendmsg`
+ * calls as the kernel allows (one, unless the socket buffer fills);
+ * false on any error. Consumes `iov`.
+ */
+bool
+writeAll(int fd, iovec *iov, size_t count)
+{
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    for (;;) {
+        while (msg.msg_iovlen > 0 && msg.msg_iov->iov_len == 0) {
+            ++msg.msg_iov;
+            --msg.msg_iovlen;
+        }
+        if (msg.msg_iovlen == 0)
+            return true;
+        ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
             return false;
         }
-        off += size_t(n);
+        // Partial write: advance past what the kernel took.
+        for (size_t left = size_t(n); left > 0;) {
+            iovec &v = *msg.msg_iov;
+            size_t take = left < v.iov_len ? left : v.iov_len;
+            v.iov_base = static_cast<char *>(v.iov_base) + take;
+            v.iov_len -= take;
+            left -= take;
+            if (v.iov_len == 0) {
+                ++msg.msg_iov;
+                --msg.msg_iovlen;
+            }
+        }
     }
-    return true;
+}
+
+/** An `iovec` over read-only bytes (`sendmsg` never writes to them). */
+iovec
+bytes(const char *data, size_t len)
+{
+    return {const_cast<char *>(data), len};
 }
 
 /**
  * One connection's sink: frames from the reader thread (inline
  * replies) and from service workers (streamed events) serialize on
  * the write mutex so lines never interleave mid-frame.
+ *
+ * Write policy. An `Immediate` frame goes out in one `sendmsg`
+ * together with every frame held before it. A `Deferrable` frame
+ * (a `sample`) is appended to the held buffer instead, unless it
+ * would take the buffer past `kHoldBytes` or `kHoldTime` has passed
+ * since the last write; then it is written at once with the rest.
+ * The buffer never exceeds `kHoldBytes`, so it is reserved once.
  */
 class SocketSink : public FrameSink
 {
@@ -68,31 +115,56 @@ class SocketSink : public FrameSink
     explicit SocketSink(int fd) : fd_(fd) {}
 
     bool
-    send(const std::string &frame) override
+    send(const std::string &frame, Delivery delivery) override
     {
         util::MutexLock lock(mutex_);
         if (closed_)
             return false;
-        if (!writeAll(fd_, frame.data(), frame.size()) ||
-            !writeAll(fd_, "\n", 1)) {
-            closed_ = true;
-            return false;
+        if (delivery == Delivery::Deferrable &&
+                held_.size() + frame.size() + 1 <= kHoldBytes &&
+                Clock::now() - last_write_ < kHoldTime) {
+            if (held_.capacity() < kHoldBytes)
+                held_.reserve(kHoldBytes);
+            held_.append(frame).push_back('\n');
+            return true;
         }
-        return true;
+        iovec iov[3] = {bytes(held_.data(), held_.size()),
+                bytes(frame.data(), frame.size()), bytes("\n", 1)};
+        bool ok = writeAll(fd_, iov, 3);
+        held_.clear();
+        last_write_ = Clock::now();
+        if (!ok)
+            closed_ = true;
+        return ok;
     }
 
-    /** Fail all future sends (the fd is owned by the connection). */
+    /**
+     * Fail all future sends and drop anything held (the fd is owned
+     * by the connection).
+     */
     void
     markClosed()
     {
         util::MutexLock lock(mutex_);
         closed_ = true;
+        held_.clear();
     }
 
   private:
+    using Clock = std::chrono::steady_clock;
+
+    /** Held bytes that force a write: a few dozen `sample` frames. */
+    static constexpr size_t kHoldBytes = 16 * 1024;
+    /** Time since the last write after which a `sample` is not held. */
+    static constexpr Clock::duration kHoldTime =
+            std::chrono::milliseconds(1);
+
     const int fd_;
     util::Mutex mutex_;
     bool closed_ GUARDED_BY(mutex_) = false;
+    /** Deferred frames, newline-terminated, not yet written. */
+    std::string held_ GUARDED_BY(mutex_);
+    Clock::time_point last_write_ GUARDED_BY(mutex_);
 };
 
 } // namespace
@@ -168,6 +240,7 @@ TcpServer::acceptLoop()
             ::close(fd);
             return;
         }
+        disableNagle(fd);
         reapFinished();
         auto conn = std::make_shared<Connection>();
         conn->fd = fd;
@@ -184,7 +257,7 @@ TcpServer::acceptLoop()
 void
 TcpServer::readerLoop(std::shared_ptr<Connection> conn)
 {
-    std::string buffer;
+    std::string buffer, line;
     char chunk[4096];
     for (;;) {
         ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
@@ -192,12 +265,14 @@ TcpServer::readerLoop(std::shared_ptr<Connection> conn)
             continue;
         if (n <= 0)
             break; // EOF or error: the client is gone
+        // Only the new bytes can hold a delimiter the last scan missed.
+        size_t scan = buffer.size();
         buffer.append(chunk, size_t(n));
         size_t start = 0;
-        for (size_t nl = buffer.find('\n', start);
+        for (size_t nl = buffer.find('\n', scan);
                 nl != std::string::npos;
                 nl = buffer.find('\n', start)) {
-            std::string line = buffer.substr(start, nl - start);
+            line.assign(buffer, start, nl - start);
             start = nl + 1;
             if (!line.empty() && line.back() == '\r')
                 line.pop_back();
@@ -288,6 +363,7 @@ TcpClient::connect(const std::string &host, uint16_t port,
         error = std::string("socket: ") + errnoString(errno);
         return false;
     }
+    disableNagle(fd_);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
@@ -303,6 +379,7 @@ TcpClient::connect(const std::string &host, uint16_t port,
         return false;
     }
     buffer_.clear();
+    head_ = 0;
     return true;
 }
 
@@ -311,8 +388,8 @@ TcpClient::sendLine(const std::string &line)
 {
     if (fd_ < 0)
         return false;
-    return writeAll(fd_, line.data(), line.size()) &&
-           writeAll(fd_, "\n", 1);
+    iovec iov[2] = {bytes(line.data(), line.size()), bytes("\n", 1)};
+    return writeAll(fd_, iov, 2);
 }
 
 bool
@@ -320,16 +397,21 @@ TcpClient::receiveLine(std::string &line)
 {
     if (fd_ < 0)
         return false;
-    for (;;) {
-        size_t nl = buffer_.find('\n');
+    for (size_t scan = head_;;) {
+        size_t nl = buffer_.find('\n', scan);
         if (nl != std::string::npos) {
-            line = buffer_.substr(0, nl);
-            buffer_.erase(0, nl + 1);
+            line.assign(buffer_, head_, nl - head_);
+            head_ = nl + 1;
             if (!line.empty() && line.back() == '\r')
                 line.pop_back();
             return true;
         }
-        char chunk[4096];
+        // Compact the consumed lines once per receive, not per line.
+        buffer_.erase(0, head_);
+        head_ = 0;
+        scan = buffer_.size();
+        // Sized to take a whole batch of held frames in one call.
+        char chunk[16 * 1024];
         ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
         if (n < 0 && errno == EINTR)
             continue;

@@ -12,9 +12,31 @@
  * service turns into cooperative cancellation, same as the bus
  * transport.
  *
+ * Write policy. Every socket, accepted or connected, sets
+ * `TCP_NODELAY`, and a frame leaves with its newline in one
+ * `sendmsg`, so no frame waits for the peer's delayed ACK. The only
+ * frames the sink holds back are `sample` frames (sent
+ * `FrameSink::Delivery::Deferrable`), about 200 of the ~220 frames of
+ * a search: they collect in a per-connection buffer that is written,
+ * in order, together with the next frame that is not a `sample`
+ * (`phase`, `improvement`, `frontier`, `done`, `error`, `pong`,
+ * `stats`), or with the `sample` that would take it past 16 KiB, or
+ * with the first `sample` sent 1 ms or more after the last write.
+ * Both limits are fixed. The buffer never holds more than 16 KiB.
+ *
+ * Staleness. The 1 ms and 16 KiB triggers are checked when a frame
+ * is sent, not by a timer; a held frame goes out no later than the
+ * next frame on its connection that meets one of them, and at the
+ * latest with its request's terminal frame, which is never held.
+ * Cancellation keeps its bound: the reader's EOF marks the sink
+ * closed, so the next `send` fails at once, held or not. A write
+ * error that no EOF reports is seen at the next write, which comes
+ * at most 1 ms or 16 KiB of samples later.
+ *
  * `TcpClient` is the matching blocking client: connect, send request
- * lines, read reply frames line by line. Used by the end-to-end
- * test, the smoke bench and the example daemon/client pair.
+ * lines (one `sendmsg` each), read reply frames line by line. Used by
+ * the end-to-end test, the smoke bench and the example daemon/client
+ * pair.
  */
 
 #ifndef DOSA_SERVICE_TCP_SERVER_HH
@@ -112,9 +134,13 @@ class TcpClient
 
     bool connected() const { return fd_ >= 0; }
 
+    /** The socket, for inspection only (-1 when not connected). */
+    int fd() const { return fd_; }
+
   private:
     int fd_ = -1;
-    std::string buffer_; ///< bytes read past the last delimiter
+    std::string buffer_; ///< bytes received, lines from `head_` unread
+    size_t head_ = 0;    ///< start of the first unread line
 };
 
 } // namespace dosa::service

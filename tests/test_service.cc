@@ -12,6 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -151,7 +155,12 @@ readGolden(const std::string &name, Golden &g)
 class FrameRecorder : public SearchObserver
 {
   public:
-    explicit FrameRecorder(std::string id) : id_(std::move(id)) {}
+    /** Cancels the run at the first sample that reaches `limit` frames. */
+    explicit FrameRecorder(
+            std::string id,
+            size_t limit = std::numeric_limits<size_t>::max())
+        : id_(std::move(id)), limit_(limit)
+    {}
 
     void
     onPhase(const char *phase) override
@@ -163,7 +172,7 @@ class FrameRecorder : public SearchObserver
     onSample(const SampleEvent &event) override
     {
         frames.push_back(service::sampleFrame(id_, event));
-        return true;
+        return frames.size() < limit_;
     }
 
     void
@@ -182,6 +191,7 @@ class FrameRecorder : public SearchObserver
 
   private:
     std::string id_;
+    size_t limit_;
 };
 
 /** Direct-run reference stream for `spec`, terminal `done` included. */
@@ -1212,6 +1222,148 @@ TEST(ServiceTcp, ClientDisconnectOverSocketCancelsTheSearch)
 
     server.stop();
     svc.shutdown();
+}
+
+/** Local port of socket `fd` (0 when it has none). */
+uint16_t
+localPort(int fd)
+{
+    sockaddr_in addr{};
+    socklen_t len = sizeof(addr);
+    if (::getsockname(fd, reinterpret_cast<sockaddr *>(&addr), &len) !=
+                    0 ||
+            addr.sin_family != AF_INET)
+        return 0;
+    return ntohs(addr.sin_port);
+}
+
+/**
+ * This process's TCP socket bound to port `local` whose peer sits on
+ * port `peer`, or -1: the server's end of a loopback connection.
+ */
+int
+findConnectedSocket(uint16_t local, uint16_t peer)
+{
+    for (int fd = 0; fd < 4096; ++fd) {
+        if (localPort(fd) != local)
+            continue;
+        sockaddr_in addr{};
+        socklen_t len = sizeof(addr);
+        if (::getpeername(fd, reinterpret_cast<sockaddr *>(&addr),
+                    &len) == 0 &&
+                ntohs(addr.sin_port) == peer)
+            return fd;
+    }
+    return -1;
+}
+
+/** `TCP_NODELAY` as read back from socket `fd` (-1 on error). */
+int
+noDelay(int fd)
+{
+    int value = -1;
+    socklen_t len = sizeof(value);
+    if (::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len) != 0)
+        return -1;
+    return value;
+}
+
+TEST(ServiceTcp, BothEndsDisableNagle)
+{
+    SearchService svc;
+    service::TcpServer server(svc, 0);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+
+    service::TcpClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port(), error))
+            << error;
+    // A reply proves the server accepted (and configured) its end.
+    ASSERT_TRUE(client.sendLine(service::encodePingRequest("n")));
+    std::string line;
+    ASSERT_TRUE(client.receiveLine(line));
+
+    EXPECT_EQ(noDelay(client.fd()), 1);
+    int accepted =
+            findConnectedSocket(server.port(), localPort(client.fd()));
+    ASSERT_GE(accepted, 0);
+    EXPECT_EQ(noDelay(accepted), 1);
+
+    client.close();
+    server.stop();
+    svc.shutdown();
+}
+
+TEST(ServiceTcp, PongFollowsHeldSamplesInOrderAndDisconnectCancels)
+{
+    SearchService svc;
+    service::TcpServer server(svc, 0);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+
+    SearchSpec spec = goldenMapperSpec();
+    spec.options.set("samples", 200000);
+    const std::string id = "long";
+
+    service::TcpClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port(), error))
+            << error;
+    ASSERT_TRUE(client.sendLine(service::encodeSearchRequest(id, spec)));
+    // Ping once 100 frames are in, while samples are being held and
+    // batched, and read on until 300 frames and the pong have come.
+    // The pong shares the connection with the held samples: it goes
+    // out behind them, long before the search's done.
+    constexpr size_t kPingAt = 100, kRead = 300;
+    std::vector<std::string> streamed;
+    std::string line;
+    bool pong = false;
+    while ((!pong || streamed.size() < kRead) &&
+            client.receiveLine(line)) {
+        Frame f;
+        ASSERT_TRUE(service::decodeFrame(line, f, error))
+                << "frame " << streamed.size() << " torn: " << error;
+        ASSERT_NE(f.kind, Frame::Kind::Done) << "done before pong";
+        if (f.kind == Frame::Kind::Pong) {
+            EXPECT_EQ(f.id, "p");
+            EXPECT_GE(streamed.size(), kPingAt);
+            pong = true;
+            continue;
+        }
+        streamed.push_back(line);
+        if (streamed.size() == kPingAt) {
+            ASSERT_TRUE(
+                    client.sendLine(service::encodePingRequest("p")));
+        }
+    }
+    ASSERT_TRUE(pong);
+    ASSERT_GE(streamed.size(), kRead);
+
+    // Vanish mid-stream: the search cancels instead of running 200k.
+    client.close();
+    svc.drain();
+    std::vector<service::RequestRecord> history = svc.history();
+    ASSERT_EQ(history.size(), 2u);
+    for (const service::RequestRecord &rec : history) {
+        if (rec.id == id) {
+            EXPECT_EQ(rec.outcome,
+                    service::RequestRecord::Outcome::Cancelled);
+            EXPECT_LT(rec.samples, 200000u);
+        } else {
+            EXPECT_EQ(rec.id, "p");
+            EXPECT_EQ(rec.outcome,
+                    service::RequestRecord::Outcome::Done);
+        }
+    }
+    server.stop();
+    svc.shutdown();
+
+    // Around the pong, the search's frames are a prefix of the direct
+    // run: none torn, lost, duplicated or reordered.
+    FrameRecorder recorder(id, streamed.size());
+    (void)runSearch(spec, &recorder);
+    ASSERT_GE(recorder.frames.size(), streamed.size());
+    recorder.frames.resize(streamed.size());
+    EXPECT_EQ(streamed, recorder.frames);
 }
 
 } // namespace
