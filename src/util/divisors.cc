@@ -34,6 +34,36 @@ computeDivisors(int64_t n)
     return lo;
 }
 
+/**
+ * Largest divisor count that gets a split table: the build is
+ * quadratic in the count, so a pathological size (up to ~10^5
+ * divisors below 2^63) would cost seconds and megabytes. DNN
+ * dimension sizes have at most a few dozen divisors.
+ */
+constexpr size_t kMaxSplitTableDivisors = 1024;
+
+/**
+ * The split table of a sorted divisor list: entries [off[i], off[i+1])
+ * of `sub` are the indices of the divisors of divs[i], ascending, so
+ * they list exactly divisorsOf(divs[i]). Empty (no `off`) above
+ * kMaxSplitTableDivisors.
+ */
+void
+computeSplitTable(const std::vector<int64_t> &divs,
+        std::vector<uint32_t> &off, std::vector<uint32_t> &sub)
+{
+    if (divs.size() > kMaxSplitTableDivisors)
+        return;
+    off.reserve(divs.size() + 1);
+    off.push_back(0);
+    for (size_t i = 0; i < divs.size(); ++i) {
+        for (size_t j = 0; j <= i; ++j)
+            if (divs[i] % divs[j] == 0)
+                sub.push_back(static_cast<uint32_t>(j));
+        off.push_back(static_cast<uint32_t>(sub.size()));
+    }
+}
+
 class DivisorMemo;
 DivisorMemo &divisorMemo();
 
@@ -57,26 +87,37 @@ DivisorMemo &divisorMemo();
 class DivisorMemo
 {
   public:
-    const std::vector<int64_t> &
+    /** One memoized size: built in full before it is published. */
+    struct Node
+    {
+        int64_t n;
+        std::vector<int64_t> divs;
+        /** Split table of divs (see computeSplitTable). */
+        std::vector<uint32_t> split_off, split_sub;
+        const Node *next;
+    };
+
+    const Node &
     get(int64_t n)
     {
         std::atomic<const Node *> &head = bucket(n);
         if (const Node *hit = find(head, n)) {
             countHit();
-            return hit->divs;
+            return *hit;
         }
         util::MutexLock lock(insert_mtx_);
         // Another thread may have published n since the probe.
         if (const Node *hit = find(head, n)) {
             countHit();
-            return hit->divs;
+            return *hit;
         }
         entries_++;
         // Owned by the (immortal) memo through its bucket chain.
-        const Node *node = new Node{n, computeDivisors(n),
+        Node *node = new Node{n, computeDivisors(n), {}, {},
                 head.load(std::memory_order_relaxed)};
+        computeSplitTable(node->divs, node->split_off, node->split_sub);
         head.store(node, std::memory_order_release);
-        return node->divs;
+        return *node;
     }
 
     DivisorMemoStats
@@ -95,13 +136,6 @@ class DivisorMemo
     }
 
   private:
-    struct Node
-    {
-        int64_t n;
-        std::vector<int64_t> divs;
-        const Node *next;
-    };
-
     /** One thread's hit count, alone on its cache line. */
     struct alignas(64) HitSlot
     {
@@ -218,7 +252,7 @@ divisorsOf(int64_t n)
 {
     if (n < 1)
         panic("divisorsOf: n must be >= 1");
-    return divisorMemo().get(n);
+    return divisorMemo().get(n).divs;
 }
 
 DivisorMemoStats
@@ -328,38 +362,35 @@ randomFactorSplit(int64_t n, std::span<int64_t> out, Rng &rng)
 {
     if (out.empty())
         return;
-    // Every quota in the chain divides n, so divisors(remaining) is
-    // the subsequence of divisors(n) that divides remaining: draw an
-    // index into it by counting, instead of one lookup per part.
-    const auto &divs = divisorsOf(n);
-    int64_t remaining = n;
-    for (size_t i = 0; i + 1 < out.size(); ++i) {
-        int64_t pick = remaining;
-        if (remaining == n) {
-            pick = divs[static_cast<size_t>(rng.uniformInt(0,
+    if (n < 1)
+        panic("randomFactorSplit: n must be >= 1");
+    // Each part draws an index into divisorsOf(quota), where the quota
+    // is what is left of n. Every quota divides n, so it is tracked
+    // by its index i in n's list and its divisors are row i of n's
+    // split table: one memo lookup for the whole split.
+    const DivisorMemo::Node &node = divisorMemo().get(n);
+    if (node.split_off.empty()) {
+        int64_t remaining = n;
+        for (size_t p = 0; p + 1 < out.size(); ++p) {
+            const auto &divs = divisorsOf(remaining);
+            out[p] = divs[static_cast<size_t>(rng.uniformInt(0,
                     static_cast<int64_t>(divs.size()) - 1))];
-        } else {
-            int64_t count = 0;
-            for (int64_t d : divs) {
-                if (d > remaining)
-                    break;
-                count += remaining % d == 0;
-            }
-            int64_t k = rng.uniformInt(0, count - 1);
-            for (int64_t d : divs) {
-                if (remaining % d != 0)
-                    continue;
-                if (k == 0) {
-                    pick = d;
-                    break;
-                }
-                --k;
-            }
+            remaining /= out[p];
         }
-        out[i] = pick;
-        remaining /= pick;
+        out.back() = remaining;
+        return;
     }
-    out.back() = remaining;
+    size_t i = node.divs.size() - 1; // the quota n itself
+    for (size_t p = 0; p + 1 < out.size(); ++p) {
+        const uint32_t *row = node.split_sub.data() + node.split_off[i];
+        int64_t count = node.split_off[i + 1] - node.split_off[i];
+        int64_t k = rng.uniformInt(0, count - 1);
+        out[p] = node.divs[row[k]];
+        // Ascending divisors pair up: row[k] * row[count - 1 - k] is
+        // the quota, so the new quota is the mirrored entry.
+        i = row[count - 1 - k];
+    }
+    out.back() = node.divs[i];
 }
 
 std::vector<int64_t>

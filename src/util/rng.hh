@@ -5,23 +5,73 @@
  * Every stochastic component in the repository (random search, start-point
  * generation, dataset synthesis, MLP initialization) draws from an Rng
  * seeded explicitly, so all experiments are reproducible bit-for-bit.
+ *
+ * Stream contract: Mt19937_64 emits exactly the words of
+ * std::mt19937_64 for the same seed (the same seeding, twist and
+ * tempering), and has the same result_type, min() and max(), so the
+ * libstdc++ distributions behind Rng's draws take the same code path
+ * and return the same values. Golden traces and the repository
+ * benchmark's generated inputs are pinned to that stream. There is
+ * one implementation and no knob: the twist and the tempering are
+ * written with GCC/Clang vector extensions, which compile to the
+ * target's baseline vector unit (SSE2 on x86-64).
  */
 
 #ifndef DOSA_UTIL_RNG_HH
 #define DOSA_UTIL_RNG_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <random>
+#include <utility>
 #include <vector>
 
 namespace dosa {
 
 /**
+ * MT19937-64 with a batched refill: each refill twists all 312 state
+ * words and tempers them into an output buffer, so a draw is a load.
+ * Output-identical to std::mt19937_64 (see the file comment). All
+ * state lives in the object: copies continue the stream independently
+ * and share nothing.
+ */
+class Mt19937_64
+{
+  public:
+    using result_type = uint64_t;
+
+    /** Words per refill (the MT19937-64 state size). */
+    static constexpr size_t kStateSize = 312;
+
+    /** Seed exactly as std::mt19937_64(seed) does. */
+    explicit Mt19937_64(uint64_t seed);
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type(0); }
+
+    /** Next word of the stream. */
+    result_type
+    operator()()
+    {
+        if (pos_ == kStateSize) [[unlikely]]
+            refill();
+        return out_[pos_++];
+    }
+
+  private:
+    /** Twist the state and temper it into out_; rewinds pos_. */
+    void refill();
+
+    uint64_t state_[kStateSize];
+    uint64_t out_[kStateSize];
+    size_t pos_;
+};
+
+/**
  * A seeded pseudo-random generator with convenience draws.
  *
- * Thin wrapper over std::mt19937_64 providing the handful of
- * distributions the DSE code needs. Copyable; copies continue the
- * stream independently.
+ * Wraps the Mt19937_64 engine with the handful of std:: distributions
+ * the DSE code needs. Copyable; copies continue the stream
+ * independently.
  */
 class Rng
 {
@@ -79,10 +129,10 @@ class Rng
     static Rng stream(uint64_t seed, uint64_t stream_id);
 
     /** Access the raw engine (for std:: distributions). */
-    std::mt19937_64 &engine() { return engine_; }
+    Mt19937_64 &engine() { return engine_; }
 
   private:
-    std::mt19937_64 engine_;
+    Mt19937_64 engine_;
 };
 
 } // namespace dosa

@@ -912,6 +912,79 @@ TEST(Service, ConcurrentClientsReceiveByteIdenticalStreams)
     }
 }
 
+TEST(Service, ConcurrentMixedSearchesEqualDirectRuns)
+{
+    // The repository benchmark's service mix: `mapper` on the golden
+    // two-layer workload and `random` on bert, 200 samples each, with
+    // two searches running at once from four clients. Both searchers
+    // share the random-mapping sampler (the Rng engine and the divisor
+    // memo), so per-run state leaking between them would change a
+    // result here.
+    const Network *bert = Workloads::find("bert");
+    ASSERT_NE(bert, nullptr);
+    constexpr int kClients = 4;
+    constexpr int kPerClient = 4;
+    constexpr int kSpecs = kClients * kPerClient; // 16 seeds
+    std::vector<SearchSpec> specs;
+    std::vector<std::string> done_lines;
+    for (int r = 0; r < kSpecs; ++r) {
+        SearchSpec spec;
+        // Client r % kClients sends its requests alternately as
+        // mapper and random; neighbouring clients start on different
+        // ones.
+        bool mapper = (r + r / kClients) % 2 == 0;
+        spec.algorithm = mapper ? "mapper" : "random";
+        spec.workload = mapper ? goldenLayers() : bert->layers;
+        spec.seed = 1000 + uint64_t(r);
+        spec.budget.max_samples = 200;
+        if (mapper)
+            spec.options.set("samples", 200);
+        SearchReport direct = runSearch(spec);
+        ASSERT_EQ(direct.search.trace.size(), 200u);
+        done_lines.push_back(service::doneFrame(std::to_string(r),
+                direct));
+        specs.push_back(std::move(spec));
+    }
+
+    ServiceConfig cfg;
+    cfg.max_concurrent = 2;
+    cfg.max_queue = 64;
+    SearchService svc(cfg);
+    ServiceBus bus(svc);
+    std::vector<Frame> done(static_cast<size_t>(kSpecs));
+    std::vector<std::string> lines(static_cast<size_t>(kSpecs));
+    std::vector<std::thread> threads;
+    threads.reserve(kClients);
+    for (int t = 0; t < kClients; ++t)
+        threads.emplace_back([&, t] {
+            ServiceBus::Client client = bus.connect();
+            for (int j = 0; j < kPerClient; ++j) {
+                size_t r = size_t(t + kClients * j);
+                client.send(service::encodeSearchRequest(
+                        std::to_string(r), specs[r]));
+                std::vector<std::string> stream = collectStream(client);
+                if (!stream.empty())
+                    lines[r] = stream.back();
+                done[r] = terminalFrame(stream);
+            }
+        });
+    for (std::thread &t : threads)
+        t.join();
+
+    for (size_t r = 0; r < size_t(kSpecs); ++r) {
+        const std::string what = specs[r].algorithm + " seed " +
+                std::to_string(specs[r].seed);
+        Frame want;
+        std::string error;
+        ASSERT_TRUE(service::decodeFrame(done_lines[r], want, error))
+                << error;
+        ASSERT_EQ(done[r].kind, Frame::Kind::Done) << what;
+        EXPECT_EQ(done[r].best_edp, want.best_edp) << what;
+        EXPECT_EQ(done[r].samples, want.samples) << what;
+        EXPECT_EQ(lines[r], done_lines[r]) << what;
+    }
+}
+
 // ---------------------------------------------------------------
 // Fault injection.
 // ---------------------------------------------------------------

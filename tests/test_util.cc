@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "util/cli.hh"
@@ -113,6 +117,123 @@ TEST(Rng, ShuffleIsPermutation)
     rng.shuffle(v);
     std::sort(v.begin(), v.end());
     EXPECT_EQ(v, orig);
+}
+
+// ---- Rng's engine against std::mt19937_64 (the stream contract in
+//      util/rng.hh). Goldens and generated benchmark inputs are pinned
+//      to this stream, so any drift must fail here first, by name.
+
+/** Words per engine refill; the checks below span several. */
+constexpr size_t kRefill = 312;
+constexpr size_t kPinWords = 4 * kRefill + 52; // 1300
+
+/** The seed Rng::stream(seed, id) hands the engine (rng.cc). */
+uint64_t
+splitmix64(uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+uint64_t
+streamSeed(uint64_t seed, uint64_t id)
+{
+    return splitmix64(splitmix64(seed) ^ splitmix64(~id));
+}
+
+TEST(RngStream, EngineTypeMatchesStdMt19937_64)
+{
+    static_assert(std::is_same_v<Mt19937_64::result_type,
+            std::mt19937_64::result_type>);
+    static_assert(Mt19937_64::min() == std::mt19937_64::min());
+    static_assert(Mt19937_64::max() == std::mt19937_64::max());
+}
+
+TEST(RngStream, WordsMatchStdMt19937_64)
+{
+    for (uint64_t seed : {uint64_t(0), uint64_t(1), uint64_t(5489),
+                          std::numeric_limits<uint64_t>::max()}) {
+        Rng rng(seed);
+        std::mt19937_64 ref(seed);
+        for (size_t i = 0; i < kPinWords; ++i)
+            ASSERT_EQ(rng.engine()(), ref()) << "seed " << seed
+                                             << " word " << i;
+    }
+    for (uint64_t seed : {uint64_t(1), uint64_t(7)}) {
+        for (uint64_t id : {uint64_t(0), uint64_t(1), uint64_t(1000)}) {
+            Rng rng = Rng::stream(seed, id);
+            std::mt19937_64 ref(streamSeed(seed, id));
+            for (size_t i = 0; i < kPinWords; ++i)
+                ASSERT_EQ(rng.engine()(), ref())
+                        << "stream (" << seed << ", " << id << ") word "
+                        << i;
+        }
+    }
+}
+
+TEST(RngStream, DrawsMatchStdDistributionsAcrossRefills)
+{
+    // Every Rng draw interleaved, as the searchers mix them, against
+    // the same std:: distributions on std::mt19937_64. The loop crosses
+    // many refills at varying offsets.
+    Rng rng(5489);
+    std::mt19937_64 ref(5489);
+    auto refInt = [&](int64_t lo, int64_t hi) {
+        return std::uniform_int_distribution<int64_t>(lo, hi)(ref);
+    };
+    auto refReal = [&](double lo, double hi) {
+        return std::uniform_real_distribution<double>(lo, hi)(ref);
+    };
+    for (int i = 0; i < 600; ++i) {
+        ASSERT_EQ(rng.uniformInt(0, 6), refInt(0, 6)) << i;
+        ASSERT_EQ(rng.uniformInt(-3, int64_t(1) << 40),
+                refInt(-3, int64_t(1) << 40)) << i;
+        ASSERT_EQ(rng.uniformInt(std::numeric_limits<int64_t>::min(),
+                          std::numeric_limits<int64_t>::max()),
+                refInt(std::numeric_limits<int64_t>::min(),
+                        std::numeric_limits<int64_t>::max())) << i;
+        ASSERT_EQ(rng.uniformReal(-2.0, 3.0), refReal(-2.0, 3.0)) << i;
+        ASSERT_EQ(rng.gaussian(1.0, 2.0),
+                std::normal_distribution<double>(1.0, 2.0)(ref)) << i;
+        ASSERT_EQ(rng.bernoulli(0.3),
+                std::bernoulli_distribution(0.3)(ref)) << i;
+        ASSERT_EQ(rng.logUniform(1.0, 1000.0),
+                std::exp(refReal(std::log(1.0), std::log(1000.0)))) << i;
+    }
+
+    std::vector<int> v(50), w(50);
+    for (int i = 0; i < 50; ++i)
+        v[size_t(i)] = w[size_t(i)] = i;
+    rng.shuffle(v);
+    for (size_t i = w.size(); i > 1; --i)
+        std::swap(w[i - 1], w[size_t(refInt(0, int64_t(i) - 1))]);
+    EXPECT_EQ(v, w);
+}
+
+TEST(RngStream, ForkAndMidBufferCopyMatchStdMt19937_64)
+{
+    Rng rng(1);
+    std::mt19937_64 ref(1);
+    for (int i = 0; i < 100; ++i)
+        ASSERT_EQ(rng.engine()(), ref());
+
+    // fork(): two parent words seed the child.
+    Rng child = rng.fork();
+    uint64_t a = ref(), b = ref();
+    std::mt19937_64 ref_child(a ^ (b << 1) ^ 0x9e3779b97f4a7c15ull);
+    for (size_t i = 0; i < kPinWords; ++i)
+        ASSERT_EQ(child.engine()(), ref_child()) << "child word " << i;
+
+    // A copy taken mid-buffer continues the stream on its own, and
+    // the original is unaffected by the copy's draws.
+    Rng copy = rng;
+    std::mt19937_64 ref_copy = ref;
+    for (size_t i = 0; i < kPinWords; ++i)
+        ASSERT_EQ(copy.engine()(), ref_copy()) << "copy word " << i;
+    for (size_t i = 0; i < kPinWords; ++i)
+        ASSERT_EQ(rng.engine()(), ref()) << "parent word " << i;
 }
 
 TEST(Divisors, KnownLists)
@@ -222,6 +343,43 @@ TEST(Divisors, RandomFactorSplitMultipliesBack)
                 prod *= f;
             }
             EXPECT_EQ(prod, n);
+        }
+    }
+}
+
+TEST(Divisors, RandomFactorSplitDrawsLikeCountingInTheListOfN)
+{
+    // Reference: part by part, count the divisors of the quota in
+    // divisorsOf(n) and draw an index among them. The split must make
+    // the same draws (same bounds, same order) and pick the same
+    // factors, with or without a split table. 735134400 has 1344
+    // divisors, more than get a table.
+    for (int64_t n : {int64_t(1), int64_t(7), int64_t(64), int64_t(720),
+                      int64_t(3072), int64_t(5124),
+                      int64_t(735134400)}) {
+        const std::vector<int64_t> &divs = divisorsOf(n);
+        for (int parts : {1, 2, 4, 7}) {
+            Rng rng(uint64_t(n) * 31 + uint64_t(parts));
+            Rng ref(uint64_t(n) * 31 + uint64_t(parts));
+            for (int rep = 0; rep < 20; ++rep) {
+                std::vector<int64_t> got = randomFactorSplit(n, parts,
+                        rng);
+                std::vector<int64_t> want(size_t(parts), 1);
+                int64_t remaining = n;
+                for (size_t p = 0; p + 1 < want.size(); ++p) {
+                    std::vector<int64_t> cands;
+                    for (int64_t d : divs)
+                        if (remaining % d == 0)
+                            cands.push_back(d);
+                    want[p] = cands[size_t(ref.uniformInt(0,
+                            int64_t(cands.size()) - 1))];
+                    remaining /= want[p];
+                }
+                want.back() = remaining;
+                ASSERT_EQ(got, want) << "n=" << n << " parts=" << parts;
+            }
+            EXPECT_EQ(rng.engine()(), ref.engine()())
+                    << "draw count n=" << n << " parts=" << parts;
         }
     }
 }
