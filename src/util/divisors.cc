@@ -370,6 +370,7 @@ randomFactorSplit(int64_t n, std::span<int64_t> out, Rng &rng)
     // split table: one memo lookup for the whole split.
     const DivisorMemo::Node &node = divisorMemo().get(n);
     if (node.split_off.empty()) {
+        // No table (too many divisors): one lookup per part instead.
         int64_t remaining = n;
         for (size_t p = 0; p + 1 < out.size(); ++p) {
             const auto &divs = divisorsOf(remaining);
