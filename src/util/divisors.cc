@@ -34,36 +34,6 @@ computeDivisors(int64_t n)
     return lo;
 }
 
-/**
- * Largest divisor count that gets a split table: the build is
- * quadratic in the count, so a pathological size (up to ~10^5
- * divisors below 2^63) would cost seconds and megabytes. DNN
- * dimension sizes have at most a few dozen divisors.
- */
-constexpr size_t kMaxSplitTableDivisors = 1024;
-
-/**
- * The split table of a sorted divisor list: entries [off[i], off[i+1])
- * of `sub` are the indices of the divisors of divs[i], ascending, so
- * they list exactly divisorsOf(divs[i]). Empty (no `off`) above
- * kMaxSplitTableDivisors.
- */
-void
-computeSplitTable(const std::vector<int64_t> &divs,
-        std::vector<uint32_t> &off, std::vector<uint32_t> &sub)
-{
-    if (divs.size() > kMaxSplitTableDivisors)
-        return;
-    off.reserve(divs.size() + 1);
-    off.push_back(0);
-    for (size_t i = 0; i < divs.size(); ++i) {
-        for (size_t j = 0; j <= i; ++j)
-            if (divs[i] % divs[j] == 0)
-                sub.push_back(static_cast<uint32_t>(j));
-        off.push_back(static_cast<uint32_t>(sub.size()));
-    }
-}
-
 class DivisorMemo;
 DivisorMemo &divisorMemo();
 
@@ -87,37 +57,26 @@ DivisorMemo &divisorMemo();
 class DivisorMemo
 {
   public:
-    /** One memoized size: built in full before it is published. */
-    struct Node
-    {
-        int64_t n;
-        std::vector<int64_t> divs;
-        /** Split table of divs (see computeSplitTable). */
-        std::vector<uint32_t> split_off, split_sub;
-        const Node *next;
-    };
-
-    const Node &
+    const std::vector<int64_t> &
     get(int64_t n)
     {
         std::atomic<const Node *> &head = bucket(n);
         if (const Node *hit = find(head, n)) {
             countHit();
-            return *hit;
+            return hit->divs;
         }
         util::MutexLock lock(insert_mtx_);
         // Another thread may have published n since the probe.
         if (const Node *hit = find(head, n)) {
             countHit();
-            return *hit;
+            return hit->divs;
         }
         entries_++;
         // Owned by the (immortal) memo through its bucket chain.
-        Node *node = new Node{n, computeDivisors(n), {}, {},
+        const Node *node = new Node{n, computeDivisors(n),
                 head.load(std::memory_order_relaxed)};
-        computeSplitTable(node->divs, node->split_off, node->split_sub);
         head.store(node, std::memory_order_release);
-        return *node;
+        return node->divs;
     }
 
     DivisorMemoStats
@@ -136,6 +95,13 @@ class DivisorMemo
     }
 
   private:
+    struct Node
+    {
+        int64_t n;
+        std::vector<int64_t> divs;
+        const Node *next;
+    };
+
     /** One thread's hit count, alone on its cache line. */
     struct alignas(64) HitSlot
     {
@@ -252,7 +218,7 @@ divisorsOf(int64_t n)
 {
     if (n < 1)
         panic("divisorsOf: n must be >= 1");
-    return divisorMemo().get(n).divs;
+    return divisorMemo().get(n);
 }
 
 DivisorMemoStats
@@ -365,33 +331,18 @@ randomFactorSplit(int64_t n, std::span<int64_t> out, Rng &rng)
     if (n < 1)
         panic("randomFactorSplit: n must be >= 1");
     // Each part draws an index into divisorsOf(quota), where the quota
-    // is what is left of n. Every quota divides n, so it is tracked
-    // by its index i in n's list and its divisors are row i of n's
-    // split table: one memo lookup for the whole split.
-    const DivisorMemo::Node &node = divisorMemo().get(n);
-    if (node.split_off.empty()) {
-        // No table (too many divisors): one lookup per part instead.
-        int64_t remaining = n;
-        for (size_t p = 0; p + 1 < out.size(); ++p) {
-            const auto &divs = divisorsOf(remaining);
-            out[p] = divs[static_cast<size_t>(rng.uniformInt(0,
-                    static_cast<int64_t>(divs.size()) - 1))];
-            remaining /= out[p];
-        }
-        out.back() = remaining;
-        return;
-    }
-    size_t i = node.divs.size() - 1; // the quota n itself
+    // is what is left of n. Every quota divides n, so that list is the
+    // subsequence of n's list that divides the quota: the draws and
+    // factors equal counting inside n's list, without its two 64-bit
+    // % per divisor per part. A memo hit per part is cheaper.
+    int64_t remaining = n;
     for (size_t p = 0; p + 1 < out.size(); ++p) {
-        const uint32_t *row = node.split_sub.data() + node.split_off[i];
-        int64_t count = node.split_off[i + 1] - node.split_off[i];
-        int64_t k = rng.uniformInt(0, count - 1);
-        out[p] = node.divs[row[k]];
-        // Ascending divisors pair up: row[k] * row[count - 1 - k] is
-        // the quota, so the new quota is the mirrored entry.
-        i = row[count - 1 - k];
+        const auto &divs = divisorsOf(remaining);
+        out[p] = divs[static_cast<size_t>(rng.uniformInt(0,
+                static_cast<int64_t>(divs.size()) - 1))];
+        remaining /= out[p];
     }
-    out.back() = node.divs[i];
+    out.back() = remaining;
 }
 
 std::vector<int64_t>

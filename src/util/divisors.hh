@@ -67,8 +67,8 @@ std::vector<int64_t> randomFactorSplit(int64_t n, int parts, Rng &rng);
  * As above, into caller storage: out.size() parts, with the same RNG
  * draws (same order, same bounds) and the same factors. Each part but
  * the last draws an index into divisorsOf(quota) for the quota still
- * to be split; those lists come from a table memoized with n's own
- * divisors, so the split allocates nothing and takes one memo lookup.
+ * to be split: one memo lookup per part, and no allocation once every
+ * quota is memoized.
  */
 void randomFactorSplit(int64_t n, std::span<int64_t> out, Rng &rng);
 

@@ -19,9 +19,6 @@ constexpr size_t kM = 156;
 constexpr uint64_t kMatrixA = 0xb5026f5aa96619e9ull;
 constexpr uint64_t kUpperMask = ~uint64_t(0) << 31;
 constexpr uint64_t kLowerMask = ~kUpperMask;
-constexpr uint64_t kTemperD = 0x5555555555555555ull;
-constexpr uint64_t kTemperB = 0x71d67fffeda60000ull;
-constexpr uint64_t kTemperC = 0xfff7eee000000000ull;
 constexpr uint64_t kInitF = 6364136223846793005ull;
 
 /**
@@ -61,19 +58,6 @@ twistLanes(uint64_t *x, const uint64_t *far)
     std::memcpy(x, &r, sizeof(Lanes));
 }
 
-/** Temper four state words into four output words. */
-inline void
-temperLanes(uint64_t *out, const uint64_t *x)
-{
-    Lanes z;
-    std::memcpy(&z, x, sizeof(Lanes));
-    z ^= (z >> 29) & kTemperD;
-    z ^= (z << 17) & kTemperB;
-    z ^= (z << 37) & kTemperC;
-    z ^= z >> 43;
-    std::memcpy(out, &z, sizeof(Lanes));
-}
-
 } // namespace
 
 Mt19937_64::Mt19937_64(uint64_t seed)
@@ -83,9 +67,8 @@ Mt19937_64::Mt19937_64(uint64_t seed)
         uint64_t x = state_[i - 1];
         state_[i] = (x ^ (x >> 62)) * kInitF + i;
     }
-    // Twist at once rather than on the first draw: the stream is the
-    // same, and the output buffer is never read uninitialised.
-    refill();
+    // As std::mt19937_64: the first draw twists.
+    pos_ = kN;
 }
 
 void
@@ -106,9 +89,6 @@ Mt19937_64::refill()
     for (; k + 1 < kN; ++k)
         x[k] = twistWord(x[k], x[k + 1], x[k + kM - kN]);
     x[kN - 1] = twistWord(x[kN - 1], x[0], x[kM - 1]);
-
-    for (size_t i = 0; i < kN; i += kLanes)
-        temperLanes(out_ + i, x + i);
     pos_ = 0;
 }
 

@@ -12,9 +12,9 @@
  * libstdc++ distributions behind Rng's draws take the same code path
  * and return the same values. Golden traces and the repository
  * benchmark's generated inputs are pinned to that stream. There is
- * one implementation and no knob: the twist and the tempering are
- * written with GCC/Clang vector extensions, which compile to the
- * target's baseline vector unit (SSE2 on x86-64).
+ * one implementation and no knob: the twist is written with GCC/Clang
+ * vector extensions, which compile to the target's baseline vector
+ * unit (SSE2 on x86-64).
  */
 
 #ifndef DOSA_UTIL_RNG_HH
@@ -28,11 +28,11 @@
 namespace dosa {
 
 /**
- * MT19937-64 with a batched refill: each refill twists all 312 state
- * words and tempers them into an output buffer, so a draw is a load.
+ * MT19937-64 with a vectorised refill: each refill twists all 312
+ * state words four at a time, and a draw tempers the next word.
  * Output-identical to std::mt19937_64 (see the file comment). All
- * state lives in the object: copies continue the stream independently
- * and share nothing.
+ * state lives in the object (~2.5 KB): copies continue the stream
+ * independently and share nothing.
  */
 class Mt19937_64
 {
@@ -54,15 +54,19 @@ class Mt19937_64
     {
         if (pos_ == kStateSize) [[unlikely]]
             refill();
-        return out_[pos_++];
+        // Tempering (the u/d, s/b, t/c and l constants).
+        uint64_t z = state_[pos_++];
+        z ^= (z >> 29) & 0x5555555555555555ull;
+        z ^= (z << 17) & 0x71d67fffeda60000ull;
+        z ^= (z << 37) & 0xfff7eee000000000ull;
+        return z ^ (z >> 43);
     }
 
   private:
-    /** Twist the state and temper it into out_; rewinds pos_. */
+    /** Twist all of the state; rewinds pos_. */
     void refill();
 
     uint64_t state_[kStateSize];
-    uint64_t out_[kStateSize];
     size_t pos_;
 };
 

@@ -352,8 +352,7 @@ TEST(Divisors, RandomFactorSplitDrawsLikeCountingInTheListOfN)
     // Reference: part by part, count the divisors of the quota in
     // divisorsOf(n) and draw an index among them. The split must make
     // the same draws (same bounds, same order) and pick the same
-    // factors, with or without a split table. 735134400 has 1344
-    // divisors, more than get a table.
+    // factors. 735134400 (1344 divisors) is a highly composite size.
     for (int64_t n : {int64_t(1), int64_t(7), int64_t(64), int64_t(720),
                       int64_t(3072), int64_t(5124),
                       int64_t(735134400)}) {
